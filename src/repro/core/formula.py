@@ -17,10 +17,15 @@ meta-analysis* (Section 4.1 of the paper):
 Meaning is given by a client :class:`Theory`, which evaluates
 primitives on pairs ``(p, d)`` of abstraction and abstract state
 (the ``gamma`` function of Section 4), decides which primitives depend
-only on the abstraction component, and supplies semantic rewrites that
-keep cubes small (mutual exclusion between primitives and literal
-entailment).  All rewrites performed here except ``drop_k`` are
-semantics-preserving; ``drop_k`` only ever shrinks ``gamma``.
+only on the abstraction component, and declares literal entailment,
+from which the rewrites that keep cubes small (mutual exclusion,
+redundancy) are derived.  All rewrites performed here except
+``drop_k`` are semantics-preserving; ``drop_k`` only ever shrinks
+``gamma``.
+
+Internally each theory interns its literals into a
+:class:`CubeUniverse` and every DNF operation runs on ``int`` bit-mask
+cubes; :class:`Dnf` values hold ``frozenset`` cubes again.
 """
 
 from __future__ import annotations
@@ -29,10 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.lru import LruCache
-from repro.obs import metrics as obs_metrics
-
-#: Distinguishes "absent" from a cached ``None`` (an unsatisfiable cube).
-_CACHE_MISS = object()
 
 
 class FormulaExplosion(RuntimeError):
@@ -228,8 +229,11 @@ class Theory:
 
     The base implementation knows nothing about the primitives beyond
     syntactic identity; clients override the hooks to plug in domain
-    knowledge (mutual exclusion, entailment), which keeps the cubes the
-    meta-analysis manipulates small and canonical.
+    knowledge.  Entailment between literals (:meth:`lit_entails`, plus
+    the value groups of an :class:`ExclusiveValueTheory`) is all the
+    DNF machinery needs: :class:`CubeUniverse` compiles it into bit
+    masks once per literal, which keeps the cubes the meta-analysis
+    manipulates small and canonical.
     """
 
     def holds(self, prim: Primitive, p: object, d: object) -> bool:
@@ -242,16 +246,14 @@ class Theory:
 
     def lit_entails(self, a: Literal, b: Literal) -> bool:
         """Whether ``gamma(a) <= gamma(b)``.  Must be sound; syntactic
-        equality is the (complete-enough per Figure 9) default."""
+        equality is the (complete-enough per Figure 9) default.
+
+        This hook defines cube normalisation and subsumption: a cube
+        holding a literal that entails the negation of another is
+        ``false``, and a literal entailed by another literal of its cube
+        is redundant.  It is asked once per ordered pair of literals the
+        theory's :class:`CubeUniverse` interns."""
         return a == b
-
-    def cube_entails_literal(self, stronger: Cube, b: Literal) -> bool:
-        """Whether the conjunction ``stronger`` entails literal ``b``.
-
-        The default scans for an entailing literal; theories with
-        structured primitives override this with set lookups, which
-        turns cube subsumption from quadratic to linear."""
-        return b in stronger or any(self.lit_entails(a, b) for a in stronger)
 
     def literals_exhaust(self, literals: FrozenSet[Literal]) -> bool:
         """Whether the disjunction of ``literals`` covers every pair,
@@ -262,58 +264,20 @@ class Theory:
         return any(l.negate() in literals for l in literals)
 
     def normalize_cube(self, literals: Cube) -> Optional[Cube]:
-        """Semantics-preserving canonicalisation of a conjunction.
+        """Semantics-preserving canonicalisation of a conjunction, or
+        ``None`` when it is unsatisfiable.  Derived from
+        :meth:`lit_entails` (and the exclusive-value groups); see
+        :class:`CubeUniverse` for the rules."""
+        universe = self.universe()
+        mask = universe.normalize(universe.lower(literals))
+        return None if mask is None else universe.lift(mask)
 
-        Returns ``None`` when the conjunction is unsatisfiable.  The
-        default detects complementary literal pairs; clients may also
-        resolve exclusive-value groups and drop entailed literals.
-        """
-        for l in literals:
-            if l.negate() in literals:
-                return None
-        return literals
-
-    #: Bound on the per-theory normalisation memo; crossing it evicts
-    #: one cold entry at a time (LRU) rather than the whole working set.
-    NORMALIZE_CACHE_SIZE = 500_000
-
-    def normalize_cached(self, literals: Cube) -> Optional[Cube]:
-        """Memoised :meth:`normalize_cube` — the DNF machinery
-        re-normalises the same cubes constantly on long traces."""
-        cache = getattr(self, "_normalize_cache", None)
-        if cache is None:
-            cache = self._normalize_cache = LruCache(self.NORMALIZE_CACHE_SIZE)
-        result = cache.get(literals, _CACHE_MISS)
-        if result is _CACHE_MISS:
-            result = self.normalize_cube(literals)
-            cache.put(literals, result)
-        return result
-
-    #: Bounds on the per-theory :func:`to_dnf` / :func:`simplify` memos.
-    #: The backward pass converts and simplifies the same post-state
-    #: formulas once per trace suffix; both operations are pure
-    #: functions of (hashable) formula identity, so results are shared
-    #: across iterations and queries of one theory instance.
-    DNF_CACHE_SIZE = 100_000
-    SIMPLIFY_CACHE_SIZE = 100_000
-
-    def _dnf_memo(self) -> LruCache:
-        cache = getattr(self, "_dnf_cache", None)
-        if cache is None:
-            cache = self._dnf_cache = LruCache(self.DNF_CACHE_SIZE)
-            obs_metrics.register_cache(
-                f"dnf_memo.{type(self).__name__}", cache
-            )
-        return cache
-
-    def _simplify_memo(self) -> LruCache:
-        cache = getattr(self, "_simplify_cache", None)
-        if cache is None:
-            cache = self._simplify_cache = LruCache(self.SIMPLIFY_CACHE_SIZE)
-            obs_metrics.register_cache(
-                f"simplify_memo.{type(self).__name__}", cache
-            )
-        return cache
+    def universe(self) -> "CubeUniverse":
+        """The theory's interned literal universe, created on first use."""
+        universe = getattr(self, "_universe", None)
+        if universe is None:
+            universe = self._universe = CubeUniverse(self)
+        return universe
 
 
 class ExclusiveValueTheory(Theory):
@@ -323,13 +287,19 @@ class ExclusiveValueTheory(Theory):
     of Figure 5) map each *location* to exactly one of a small set of
     *values*.  Primitives then come in exhaustive, mutually exclusive
     groups: one per location, one primitive per value.  Subclasses
-    provide :meth:`group_of`; this class derives cube normalisation:
+    provide :meth:`group_of` and :meth:`make_primitive`; this class
+    derives cube normalisation from them:
 
-    * two distinct positive values for one location -> ``false``;
-    * a positive value makes every negative literal of the same group
-      redundant (or contradictory);
-    * all-but-one value negated -> replaced by the remaining positive;
-    * all values negated -> ``false``.
+    * ``loc = v`` entails ``loc != w`` for every other value ``w``
+      (:meth:`lit_entails`), so two distinct positive values for one
+      location are ``false`` and a positive value makes the negative
+      literals of its group redundant;
+    * all-but-one value negated is replaced by the remaining positive,
+      and all values negated is ``false`` (the value sweep
+      :class:`CubeUniverse` applies to each group).
+
+    A subclass that refines :meth:`lit_entails` may relate literals of
+    one group only: the universe never asks about other pairs.
     """
 
     def group_of(self, prim: Primitive) -> Optional[Tuple[object, object, Tuple]]:
@@ -340,88 +310,15 @@ class ExclusiveValueTheory(Theory):
         """Build the primitive asserting ``group_key = value``."""
         raise NotImplementedError
 
-    #: Bound on the primitive-group memo (one entry per distinct
-    #: primitive, so this only matters for very large universes).
-    GROUP_CACHE_SIZE = 65_536
-
-    def _group_cached(self, prim: Primitive):
-        cache = getattr(self, "_group_cache", None)
-        if cache is None:
-            cache = self._group_cache = LruCache(self.GROUP_CACHE_SIZE)
-        result = cache.get(prim, _CACHE_MISS)
-        if result is _CACHE_MISS:
-            result = self.group_of(prim)
-            cache.put(prim, result)
-        return result
-
-    def normalize_cube(self, literals: Cube) -> Optional[Cube]:
-        groups: Dict[object, Dict[object, bool]] = {}
-        values_of: Dict[object, Tuple] = {}
-        rest: List[Literal] = []
-        for l in literals:
-            info = self._group_cached(l.prim)
-            if info is None:
-                if l.negate() in literals:
-                    return None
-                rest.append(l)
-                continue
-            key, value, all_values = info
-            bucket = groups.setdefault(key, {})
-            if value in bucket and bucket[value] != l.positive:
-                return None
-            bucket[value] = l.positive
-            values_of[key] = all_values
-        out: List[Literal] = list(rest)
-        for key, bucket in groups.items():
-            all_values = values_of[key]
-            positives = [v for v, sign in bucket.items() if sign]
-            negatives = [v for v, sign in bucket.items() if not sign]
-            if len(positives) >= 2:
-                return None
-            if positives:
-                value = positives[0]
-                if value in negatives:
-                    return None
-                out.append(Literal(self.make_primitive(key, value), True))
-                continue
-            remaining = [v for v in all_values if v not in negatives]
-            if not remaining:
-                return None
-            if len(remaining) == 1:
-                out.append(Literal(self.make_primitive(key, remaining[0]), True))
-            else:
-                out.extend(
-                    Literal(self.make_primitive(key, v), False) for v in negatives
-                )
-        return frozenset(out)
-
     def lit_entails(self, a: Literal, b: Literal) -> bool:
         if a == b:
             return True
-        ga = self._group_cached(a.prim)
-        gb = self._group_cached(b.prim)
-        if ga is None or gb is None or ga[0] != gb[0]:
+        if not a.positive or b.positive:
             return False
         # Same exclusive group: `loc = v` entails `loc != w` for w != v.
-        if a.positive and not b.positive and ga[1] != gb[1]:
-            return True
-        return False
-
-    def cube_entails_literal(self, stronger: Cube, b: Literal) -> bool:
-        if b in stronger:
-            return True
-        info = self._group_cached(b.prim)
-        if info is None or b.positive:
-            # Positive exclusive-value literals are entailed only by
-            # themselves (normalised cubes carry at most one positive
-            # value per group).
-            return False
-        key, value, all_values = info
-        return any(
-            Literal(self.make_primitive(key, other), True) in stronger
-            for other in all_values
-            if other != value
-        )
+        ga = self.group_of(a.prim)
+        gb = self.group_of(b.prim)
+        return ga is not None and gb is not None and ga[0] == gb[0] and ga[1] != gb[1]
 
     def literals_exhaust(self, literals: FrozenSet[Literal]) -> bool:
         if super().literals_exhaust(literals):
@@ -431,7 +328,7 @@ class ExclusiveValueTheory(Theory):
         for l in literals:
             if not l.positive:
                 continue
-            info = self._group_cached(l.prim)
+            info = self.group_of(l.prim)
             if info is None:
                 continue
             key, value, all_values = info
@@ -440,6 +337,396 @@ class ExclusiveValueTheory(Theory):
         return any(
             by_group[key] >= set(values_of[key]) for key in by_group
         )
+
+
+# ---------------------------------------------------------------------------
+# Interned cube algebra
+# ---------------------------------------------------------------------------
+
+#: Per-cube summary carried beside a normalised mask: the OR, over the
+#: cube's literals, of their ``conflicts``, ``drops``, ``sweeps`` and
+#: ``entails`` masks (see :class:`CubeUniverse`).
+Info = Tuple[int, int, int, int]
+
+#: The cube of no literals (``true``) and its info.
+_TRUE_INFO: Info = (0, 0, 0, 0)
+
+#: Bound on each universe's mask -> frozenset lifting memo.
+_LIFTED_CUBES = 1 << 14
+
+
+def mask_bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _check_budget(count: int, max_cubes: Optional[int]) -> None:
+    if max_cubes is not None and count > max_cubes:
+        raise FormulaExplosion(
+            f"DNF conversion produced {count} cubes (budget {max_cubes})"
+        )
+
+
+class CubeUniverse:
+    """One theory's literals interned as bit positions, with cubes as
+    ``int`` masks over them.
+
+    The ``n``-th primitive interned owns bit ``2n`` for its positive and
+    bit ``2n + 1`` for its negative literal, so ``bit ^ 1`` is the
+    complement.  An :class:`ExclusiveValueTheory` interns a primitive's
+    whole value group at once.  The theory's hooks are asked once per
+    pair of interned literals and kept as four masks per bit ``i``:
+
+    * ``entails[i]``: the other literals that literal ``i`` entails
+      (:meth:`Theory.lit_entails`);
+    * ``drops[i]``: the literals a cube holding ``i`` drops as
+      redundant: ``entails[i]`` minus any literal interned before ``i``
+      that entails ``i`` back, so one of two equivalent literals stays;
+    * ``conflicts[i]``: the literals ``j`` that cannot hold with ``i``:
+      ``i`` entails ``not j``, or ``j`` entails ``not i``;
+    * ``sweeps[i]``: for the negative literal of a value group, the
+      negative literals of the whole group (0 otherwise).
+
+    Normalising a cube is then: ``None`` if it holds a conflicting
+    pair; drop every literal another literal entails; and in each value
+    group whose negatives exclude every value return ``None``, or,
+    when they exclude all values but one, replace them by that value's
+    positive literal.  This rule is confluent, so conjoining two
+    normalised cubes (:meth:`conjoin`) needs only the two masks and
+    their :data:`Info`: an OR, a conflict test, a drop mask and a sweep
+    of the value groups both cubes constrain.  Cubes become
+    ``frozenset`` again only through :meth:`lift`.
+    """
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self.bit: Dict[Literal, int] = {}
+        self.literals: List[Literal] = []
+        self.entails: List[int] = []
+        self.drops: List[int] = []
+        self.conflicts: List[int] = []
+        self.sweeps: List[int] = []
+        self._keys: List[Tuple] = []
+        #: Dense rank of each literal's sort key; rebuilt after interning.
+        self._ranks: Optional[List[int]] = None
+        #: Bumped when interning relates a new literal to an old one, so
+        #: that :data:`Info` computed before then is out of date (never,
+        #: for an exclusive-value theory).
+        self.epoch = 0
+        #: bit -> DNF of that one literal, valid for ``_units_epoch``.
+        self._units: Dict[int, Dict[int, Info]] = {}
+        self._units_epoch = 0
+        self._lifted = LruCache(_LIFTED_CUBES)
+
+    # -- interning ----------------------------------------------------------
+
+    def bit_of(self, literal: Literal) -> int:
+        bit = self.bit.get(literal)
+        if bit is None:
+            self._intern(literal.prim)
+            bit = self.bit[literal]
+        return bit
+
+    def lower(self, cube: Iterable[Literal]) -> int:
+        mask = 0
+        for literal in cube:
+            mask |= 1 << self.bit_of(literal)
+        return mask
+
+    def _intern(self, prim: Primitive) -> None:
+        prims = [prim]
+        grouped = False
+        theory = self.theory
+        if isinstance(theory, ExclusiveValueTheory):
+            group = theory.group_of(prim)
+            if group is not None:
+                key, _value, values = group
+                members = [theory.make_primitive(key, value) for value in values]
+                grouped = prim in members and not any(
+                    Literal(member, True) in self.bit for member in members
+                )
+                if grouped:
+                    prims = members
+        start = len(self.literals)
+        for member in prims:
+            for positive in (True, False):
+                literal = Literal(member, positive)
+                self.bit[literal] = len(self.literals)
+                self.literals.append(literal)
+                self._keys.append(literal.sort_key())
+                self.entails.append(0)
+                self.drops.append(0)
+                self.conflicts.append(0)
+                self.sweeps.append(0)
+        self._ranks = None
+        if grouped:
+            negatives = range(start + 1, len(self.literals), 2)
+            group_mask = sum(1 << bit for bit in negatives)
+            for bit in negatives:
+                self.sweeps[bit] = group_mask
+        self._relate(start)
+
+    def _relate(self, start: int) -> None:
+        """Ask ``lit_entails`` about every pair involving a literal
+        numbered ``start`` or above, and update the masks.
+
+        An exclusive-value theory relates the literals of one group
+        only and interns each group at once, so for one the new
+        literals are paired only with each other."""
+        lit_entails = self.theory.lit_entails
+        literals = self.literals
+        first = start if isinstance(self.theory, ExclusiveValueTheory) else 0
+        edges = []
+        for i in range(start, len(literals)):
+            a = literals[i]
+            for j in range(first, len(literals)):
+                if i == j:
+                    continue
+                b = literals[j]
+                if lit_entails(a, b):
+                    edges.append((i, j))
+                if j < start and lit_entails(b, a):
+                    edges.append((j, i))
+        entails, drops, conflicts = self.entails, self.drops, self.conflicts
+        for i, j in edges:
+            entails[i] |= 1 << j
+        for i, j in edges:
+            # `i` entails `j` = not (j ^ 1): the two cannot hold together.
+            conflicts[i] |= 1 << (j ^ 1)
+            conflicts[j ^ 1] |= 1 << i
+            if not (entails[j] >> i & 1 and j < i):
+                drops[i] |= 1 << j
+        for i in range(start, len(literals)):
+            conflicts[i] |= 1 << (i ^ 1)
+        if any(i < start or j < start for i, j in edges):
+            self.epoch += 1
+
+    def _rank(self) -> List[int]:
+        ranks = self._ranks
+        if ranks is None:
+            order = {key: n for n, key in enumerate(sorted(set(self._keys)))}
+            ranks = self._ranks = [order[key] for key in self._keys]
+        return ranks
+
+    # -- cubes --------------------------------------------------------------
+
+    def info(self, mask: int) -> Info:
+        conflicts = drops = sweeps = entails = 0
+        for bit in mask_bits(mask):
+            conflicts |= self.conflicts[bit]
+            drops |= self.drops[bit]
+            sweeps |= self.sweeps[bit]
+            entails |= self.entails[bit]
+        return (conflicts, drops, sweeps, entails)
+
+    def unit(self, bit: int) -> Dict[int, Info]:
+        """The DNF of the single literal ``bit`` (shared: do not mutate)."""
+        if self._units_epoch != self.epoch:
+            self._units = {}
+            self._units_epoch = self.epoch
+        dnf = self._units.get(bit)
+        if dnf is None:
+            mask = self.normalize(1 << bit)
+            dnf = self._units[bit] = {} if mask is None else {mask: self.info(mask)}
+        return dnf
+
+    def normalize(self, mask: int) -> Optional[int]:
+        """The normal form of the cube ``mask``, or ``None`` if it is
+        unsatisfiable."""
+        conflicts, drops, sweeps, _entails = self.info(mask)
+        if mask & conflicts:
+            return None
+        mask &= ~drops
+        if sweeps:
+            swept = self._sweep(mask, sweeps)
+            if swept != mask:
+                # A swept-in positive literal may entail or contradict
+                # literals outside its group.
+                return None if swept is None else self.normalize(swept)
+        return mask
+
+    def _sweep(self, mask: int, groups: int) -> Optional[int]:
+        """Apply the value sweep to the groups whose negatives ``groups``
+        covers."""
+        sweeps = self.sweeps
+        while groups:
+            low = groups & -groups
+            group = sweeps[low.bit_length() - 1]
+            groups &= ~group
+            negatives = mask & group
+            if not negatives:
+                continue
+            if negatives == group:
+                return None
+            missing = group & ~negatives
+            if not missing & (missing - 1):
+                # One value left: its positive literal is the bit below
+                # its negative one.
+                mask = (mask & ~group) | (missing >> 1)
+        return mask
+
+    def conjoin(self, left: Dict[int, Info], right: Dict[int, Info]) -> Dict[int, Info]:
+        """The DNF conjunction of two DNFs of normalised cubes."""
+        out: Dict[int, Info] = {}
+        right_items = list(right.items())
+        for a, (ca, da, sa, ea) in left.items():
+            for b, (cb, db, sb, eb) in right_items:
+                if a & cb:
+                    continue
+                union = a | b
+                mask = union & ~(da | db)
+                if sa & sb:
+                    swept = self._sweep(mask, sa & sb)
+                    if swept != mask:
+                        if swept is None:
+                            continue
+                        mask = self.normalize(swept)
+                        if mask is None:
+                            continue
+                if mask in out:
+                    continue
+                if mask == union:
+                    out[mask] = (ca | cb, da | db, sa | sb, ea | eb)
+                else:
+                    out[mask] = self.info(mask)
+        return out
+
+    def dnf(self, formula: Formula, max_cubes: Optional[int] = None) -> Tuple[Dict[int, Info], int]:
+        """``formula`` in DNF, as normalised masks with their info, and
+        the largest number of cubes live at any point of the conversion.
+
+        Raises :class:`FormulaExplosion` as soon as that number exceeds
+        ``max_cubes``.  Conjuncts are multiplied smallest DNF first, in
+        an order the DNFs themselves fix, so neither the result nor the
+        peak depends on the order of ``And``/``Or`` arguments."""
+        # Interning first keeps every Info computed below up to date.
+        self._intern_literals(formula)
+        peak = [0]
+        cubes = self._dnf(formula, max_cubes, peak)
+        return cubes, peak[0]
+
+    def _intern_literals(self, formula: Formula) -> None:
+        if isinstance(formula, Lit):
+            self.bit_of(formula.literal)
+        elif isinstance(formula, (And, Or)):
+            for arg in formula.args:
+                self._intern_literals(arg)
+
+    def _dnf(self, formula: Formula, max_cubes: Optional[int], peak: List[int]) -> Dict[int, Info]:
+        if isinstance(formula, Lit):
+            return self.unit(self.bit[formula.literal])
+        if isinstance(formula, Top):
+            return {0: _TRUE_INFO}
+        if isinstance(formula, Bottom):
+            return {}
+        if isinstance(formula, Or):
+            out: Dict[int, Info] = {}
+            for arg in formula.args:
+                out.update(self._dnf(arg, max_cubes, peak))
+                peak[0] = max(peak[0], len(out))
+                _check_budget(len(out), max_cubes)
+            return out
+        if isinstance(formula, And):
+            parts = [self._dnf(arg, max_cubes, peak) for arg in formula.args]
+            key = self._cube_key()
+            # Parts of at most one cube never grow the product, so their
+            # order among themselves does not matter.
+            parts.sort(
+                key=lambda part: (len(part), sorted(map(key, part)) if len(part) > 1 else [])
+            )
+            acc: Dict[int, Info] = {0: _TRUE_INFO}
+            for part in parts:
+                acc = self.conjoin(acc, part)
+                peak[0] = max(peak[0], len(acc))
+                _check_budget(len(acc), max_cubes)
+            return acc
+        raise TypeError(f"not a formula: {formula!r}")
+
+    def substitute(
+        self,
+        cubes: Sequence[int],
+        factors: Dict[int, Dict[int, Info]],
+        max_cubes: Optional[int],
+    ) -> Dict[int, Info]:
+        """The DNF of ``cubes`` with every literal ``bit`` replaced by the
+        DNF ``factors[bit]``, each cube's factors multiplied in literal
+        sort-key order; ``max_cubes`` bounds every live DNF."""
+        ranks = self._rank()
+        out: Dict[int, Info] = {}
+        for cube in cubes:
+            acc: Dict[int, Info] = {0: _TRUE_INFO}
+            for bit in sorted(mask_bits(cube), key=ranks.__getitem__):
+                acc = self.conjoin(acc, factors[bit])
+                _check_budget(len(acc), max_cubes)
+                if not acc:
+                    break
+            out.update(acc)
+            _check_budget(len(out), max_cubes)
+        return out
+
+    def _cube_key(self) -> Callable[[int], Tuple]:
+        """A sort key on masks ordering them as :func:`cube_sort_key`
+        orders their lifted cubes."""
+        ranks = self._rank()
+
+        def key(mask: int) -> Tuple:
+            bits = mask_bits(mask)
+            return (len(bits), sorted([ranks[bit] for bit in bits]))
+
+        return key
+
+    def sort(self, masks: Iterable[int]) -> List[int]:
+        return sorted(masks, key=self._cube_key())
+
+    def simplify(self, ordered: Sequence[int], infos: Dict[int, Info]) -> List[int]:
+        """``simplify`` of Figure 8 on masks: keep each cube that entails
+        no kept earlier cube (a subset test against its closure)."""
+        kept: List[int] = []
+        for mask in ordered:
+            closure = mask | infos[mask][3]
+            for earlier in kept:
+                if not earlier & ~closure:
+                    break
+            else:
+                kept.append(mask)
+        return kept
+
+    def evaluator(self, p: object, d: object) -> Callable[[int], bool]:
+        """Whether a cube holds at ``(p, d)``, asking the theory at most
+        once per literal."""
+        literals = self.literals
+        holds = self.theory.holds
+        truth: Dict[int, bool] = {}
+
+        def contains(mask: int) -> bool:
+            for bit in mask_bits(mask):
+                value = truth.get(bit)
+                if value is None:
+                    literal = literals[bit]
+                    value = truth[bit] = bool(holds(literal.prim, p, d)) == literal.positive
+                if not value:
+                    return False
+            return True
+
+        return contains
+
+    # -- back to literals ---------------------------------------------------
+
+    def lift(self, mask: int) -> Cube:
+        cube = self._lifted.get(mask)
+        if cube is None:
+            literals = self.literals
+            cube = frozenset([literals[bit] for bit in mask_bits(mask)])
+            self._lifted.put(mask, cube)
+        return cube
+
+    def lift_dnf(self, ordered: Iterable[int]) -> "Dnf":
+        return Dnf(tuple(self.lift(mask) for mask in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +760,12 @@ class Dnf:
         return " | ".join(f"({pretty_cube(c)})" for c in self.cubes)
 
     def to_formula(self) -> Formula:
-        return disj(*(conj(*(Lit(l) for l in cube)) for cube in self.cubes))
+        return disj(
+            *(
+                conj(*(Lit(l) for l in sorted(cube, key=Literal.sort_key)))
+                for cube in self.cubes
+            )
+        )
 
 
 def _sorted_cubes(cubes: Iterable[Cube]) -> Tuple[Cube, ...]:
@@ -489,67 +781,12 @@ def to_dnf(
     ``max_cubes`` bounds the number of cubes live at any point during
     the conversion; exceeding it raises :class:`FormulaExplosion`.
     The result's cubes are sorted by size, matching ``toDNF`` of
-    Figure 8.
-
-    Successful conversions are memoised per theory, keyed on the
-    (hashable) formula plus the budget — the budget must be in the key
-    because whether a conversion explodes depends on the *intermediate*
-    cube counts it allows.  Explosions are never cached: a later call
-    with a larger budget must get its chance to succeed.
+    Figure 8.  The conversion runs on the theory's
+    :class:`CubeUniverse`.
     """
-    cache = theory._dnf_memo()
-    key = (formula, max_cubes)
-    result = cache.get(key, _CACHE_MISS)
-    if result is _CACHE_MISS:
-        cubes = _dnf_cubes(formula, theory, max_cubes)
-        result = Dnf(_sorted_cubes(cubes))
-        cache.put(key, result)
-    return result
-
-
-def _dnf_cubes(
-    formula: Formula, theory: Theory, max_cubes: Optional[int]
-) -> List[Cube]:
-    if isinstance(formula, Top):
-        return [frozenset()]
-    if isinstance(formula, Bottom):
-        return []
-    if isinstance(formula, Lit):
-        normalized = theory.normalize_cached(frozenset([formula.literal]))
-        return [] if normalized is None else [normalized]
-    if isinstance(formula, Or):
-        out: List[Cube] = []
-        seen = set()
-        for arg in formula.args:
-            for cube in _dnf_cubes(arg, theory, max_cubes):
-                if cube not in seen:
-                    seen.add(cube)
-                    out.append(cube)
-            _check_budget(out, max_cubes)
-        return out
-    if isinstance(formula, And):
-        acc: List[Cube] = [frozenset()]
-        for arg in formula.args:
-            arg_cubes = _dnf_cubes(arg, theory, max_cubes)
-            next_acc: List[Cube] = []
-            seen = set()
-            for left in acc:
-                for right in arg_cubes:
-                    merged = theory.normalize_cached(left | right)
-                    if merged is not None and merged not in seen:
-                        seen.add(merged)
-                        next_acc.append(merged)
-            _check_budget(next_acc, max_cubes)
-            acc = next_acc
-        return acc
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def _check_budget(cubes: Sequence[Cube], max_cubes: Optional[int]) -> None:
-    if max_cubes is not None and len(cubes) > max_cubes:
-        raise FormulaExplosion(
-            f"DNF conversion produced {len(cubes)} cubes (budget {max_cubes})"
-        )
+    universe = theory.universe()
+    cubes, _peak = universe.dnf(formula, max_cubes)
+    return universe.lift_dnf(universe.sort(cubes))
 
 
 def cube_entails(stronger: Cube, weaker: Cube, theory: Theory) -> bool:
@@ -558,8 +795,9 @@ def cube_entails(stronger: Cube, weaker: Cube, theory: Theory) -> bool:
     Holds when every literal of ``weaker`` is entailed by some literal
     of ``stronger`` — the (sound, incomplete) check of Figure 9.
     """
-    rest = weaker - stronger  # entailment is reflexive
-    return all(theory.cube_entails_literal(stronger, b) for b in rest)
+    universe = theory.universe()
+    mask = universe.lower(stronger)
+    return not universe.lower(weaker) & ~(mask | universe.info(mask)[3])
 
 
 def simplify(dnf: Dnf, theory: Theory) -> Dnf:
@@ -567,21 +805,14 @@ def simplify(dnf: Dnf, theory: Theory) -> Dnf:
 
     This is ``simplify`` of Figure 8 and is semantics-preserving: a
     removed cube denotes a subset of a kept one.
-
-    Memoised per theory on the cube tuple: the backward pass simplifies
-    the same post-state DNFs once per trace suffix.
     """
-    cache = theory._simplify_memo()
-    result = cache.get(dnf.cubes, _CACHE_MISS)
-    if result is _CACHE_MISS:
-        kept: List[Cube] = []
-        for cube in dnf.cubes:
-            if any(cube_entails(cube, earlier, theory) for earlier in kept):
-                continue
-            kept.append(cube)
-        result = Dnf(tuple(kept))
-        cache.put(dnf.cubes, result)
-    return result
+    universe = theory.universe()
+    by_mask = {universe.lower(cube): cube for cube in dnf.cubes}
+    infos = {mask: universe.info(mask) for mask in by_mask}
+    kept = universe.simplify(list(by_mask), infos)
+    if len(kept) == len(dnf.cubes):
+        return dnf
+    return Dnf(tuple(by_mask[mask] for mask in kept))
 
 
 def merge_cubes(dnf: Dnf, theory: Theory) -> Dnf:
@@ -607,7 +838,7 @@ def merge_cubes(dnf: Dnf, theory: Theory) -> Dnf:
             if theory.literals_exhaust(frozenset(literals)):
                 for l in literals:
                     cubes.discard(rest | {l})
-                normalized = theory.normalize_cached(rest)
+                normalized = theory.normalize_cube(rest)
                 if normalized is not None:
                     cubes.add(normalized)
                 changed = True
@@ -629,18 +860,19 @@ def drop_k(
     Raises ``ValueError`` when no disjunct contains the current pair,
     which would violate the meta-analysis invariant.
     """
+    kept = drop_k_cubes(dnf.cubes, k, contains_current)
+    return dnf if len(kept) == len(dnf.cubes) else Dnf(tuple(kept))
+
+
+def drop_k_cubes(cubes: Sequence, k: int, contains_current: Callable) -> Sequence:
+    """:func:`drop_k` on a plain sequence of cubes (of any
+    representation ``contains_current`` accepts)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(dnf.cubes) <= k:
-        return dnf
-    kept = list(dnf.cubes[: k - 1])
-    return Dnf(tuple(_with_current(dnf, kept, contains_current)))
-
-
-def _with_current(
-    dnf: Dnf, kept: List[Cube], contains_current: Callable[[Cube], bool]
-) -> List[Cube]:
-    for cube in dnf.cubes:
+    if len(cubes) <= k:
+        return cubes
+    kept = list(cubes[: k - 1])
+    for cube in cubes:
         if contains_current(cube):
             if cube not in kept:
                 kept.append(cube)
@@ -694,7 +926,7 @@ def wp_substitute(dnf: Dnf, wp_prim: Callable[[Primitive], Formula]) -> Formula:
     disjuncts = []
     for cube in dnf.cubes:
         parts = []
-        for l in cube:
+        for l in sorted(cube, key=Literal.sort_key):
             pre = wp_prim(l.prim)
             parts.append(pre if l.positive else neg(pre))
         disjuncts.append(conj(*parts))

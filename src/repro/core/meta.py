@@ -21,25 +21,33 @@ Each backward step is ``approx(p, d, [[a]]b(f))``:
 
 Setting ``k = None`` disables the beam (the "without
 under-approximation" mode of Figure 6(a)).
+
+:func:`backward_trace` runs its steps on the theory's interned
+bit-mask cubes (:class:`~repro.core.formula.CubeUniverse`), with each
+``wp(prim)`` and ``not wp(prim)`` lowered to a mask DNF once per
+(command, literal) beside the wp memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.formula import (
+    CubeUniverse,
     Dnf,
     Formula,
-    Lit,
-    Literal,
+    FormulaExplosion,
+    Info,
     Theory,
     drop_k,
+    drop_k_cubes,
     evaluate,
     evaluate_cube,
+    mask_bits,
+    neg,
     simplify,
     to_dnf,
-    wp_substitute,
 )
 from repro.core.lru import LruCache
 from repro.core.parametric import ParametricAnalysis
@@ -47,7 +55,9 @@ from repro.lang.ast import AtomicCommand, Trace
 from repro.obs import metrics as obs_metrics
 from repro.robust import budget as robust_budget
 
-_WP_MISS = object()
+#: Default bound on the cubes live at any point of one backward pass,
+#: shared with ``TracerConfig.max_cubes``.
+MAX_CUBES = 200_000
 
 
 def _wp_counters(meta: "BackwardMetaAnalysis"):
@@ -69,7 +79,8 @@ class BackwardMetaAnalysis:
         """
         raise NotImplementedError
 
-    #: Bound on the wp memo; eviction is LRU, one entry at a time.
+    #: Bound on the wp memo, in commands; eviction is LRU, one command
+    #: at a time.
     WP_CACHE_SIZE = 200_000
 
     #: Memo counters, surfaced in the evaluation's cache statistics
@@ -85,21 +96,95 @@ class BackwardMetaAnalysis:
     def wp_cached(self, command: AtomicCommand, prim) -> Formula:
         """Memoised :meth:`wp_primitive` — the same (command, primitive)
         pairs recur along every trace and TRACER iteration."""
+        return self._wp_formula(self._wp_record(command), command, prim)
+
+    def wp_factors(
+        self, command: AtomicCommand, literals: int, max_cubes: Optional[int]
+    ) -> Optional[Dict[int, Dict[int, Info]]]:
+        """The weakest preconditions of the literals in the mask
+        ``literals``, as mask DNFs by bit: ``wp(prim)`` for a positive
+        literal, ``not wp(prim)`` for a negative one.  ``None`` when
+        ``command`` leaves every one of those literals unchanged.
+
+        Each literal is lowered once per command, into the command's
+        wp memo entry, which also keeps the peak cube count of the
+        conversion: a literal whose peak exceeds ``max_cubes`` raises
+        :class:`FormulaExplosion`."""
+        record = self._wp_record(command)
+        universe = self.theory.universe()
+        missing = literals & ~record.lowered
+        for bit in mask_bits(missing):
+            literal = universe.literals[bit]
+            formula = self._wp_formula(record, command, literal.prim)
+            pre = formula if literal.positive else neg(formula)
+            factor, peak = universe.dnf(pre, max_cubes)
+            record.lowered |= 1 << bit
+            # Only the literals the command changes keep a DNF: the rest
+            # map to themselves.
+            if len(factor) != 1 or (1 << bit) not in factor:
+                record.factors[bit] = (factor, peak)
+                record.changed |= 1 << bit
+        self.wp_hits += bin(literals & ~missing).count("1")
+        changed = literals & record.changed
+        if not changed:
+            return None
+        if record.epoch != universe.epoch:
+            record.factors = {
+                bit: ({mask: universe.info(mask) for mask in factor}, peak)
+                for bit, (factor, peak) in record.factors.items()
+            }
+            record.epoch = universe.epoch
+        factors = {bit: universe.unit(bit) for bit in mask_bits(literals & ~changed)}
+        for bit in mask_bits(changed):
+            factor, peak = record.factors[bit]
+            if max_cubes is not None and peak > max_cubes:
+                raise FormulaExplosion(
+                    f"DNF conversion produced {peak} cubes (budget {max_cubes})"
+                )
+            factors[bit] = factor
+        return factors
+
+    def _wp_record(self, command: AtomicCommand) -> "_CommandWp":
         cache = getattr(self, "_wp_cache", None)
         if cache is None:
             cache = self._wp_cache = LruCache(self.WP_CACHE_SIZE)
             obs_metrics.register_cache(
                 f"wp_memo.{self.metrics_name}", self, _wp_counters
             )
-        key = (command, prim)
-        result = cache.get(key, _WP_MISS)
-        if result is _WP_MISS:
+        record = cache.get(command)
+        if record is None:
+            record = _CommandWp()
+            cache.put(command, record)
+        return record
+
+    def _wp_formula(self, record: "_CommandWp", command: AtomicCommand, prim) -> Formula:
+        formula = record.formulas.get(prim)
+        if formula is None:
             self.wp_misses += 1
-            result = self.wp_primitive(command, prim)
-            cache.put(key, result)
+            formula = record.formulas[prim] = self.wp_primitive(command, prim)
         else:
             self.wp_hits += 1
-        return result
+        return formula
+
+
+class _CommandWp:
+    """The wp memo entry of one command: each primitive's wp formula,
+    and the lowered mask DNF, with the peak cube count of its
+    conversion, of each literal the command changes."""
+
+    __slots__ = ("formulas", "factors", "lowered", "changed", "epoch")
+
+    def __init__(self):
+        self.formulas: Dict[object, Formula] = {}
+        #: bit -> (mask DNF, peak)
+        self.factors: Dict[int, Tuple[Dict[int, Info], int]] = {}
+        #: The literals lowered so far, and those among them the
+        #: command changes (whose wp is not the literal itself, and
+        #: which alone have ``factors``).
+        self.lowered = 0
+        self.changed = 0
+        #: The universe epoch the ``factors``' Info was computed in.
+        self.epoch = 0
 
 
 @dataclass
@@ -153,6 +238,25 @@ def approx(
     return pruned
 
 
+def _approx_masks(
+    universe: CubeUniverse,
+    pre: Dict[int, Info],
+    p: object,
+    d: object,
+    k: Optional[int],
+    stats: dict,
+) -> Tuple[int, ...]:
+    """:func:`approx` on the mask DNF ``pre``: sort, simplify, beam-prune."""
+    ordered = universe.sort(pre)
+    kept = universe.simplify(ordered, pre)
+    stats["subsumption_drops"] += len(ordered) - len(kept)
+    if k is not None:
+        pruned = drop_k_cubes(kept, k, universe.evaluator(p, d))
+        stats["beam_prunes"] += len(kept) - len(pruned)
+        kept = pruned
+    return tuple(kept)
+
+
 def backward_trace(
     meta: BackwardMetaAnalysis,
     analysis: ParametricAnalysis,
@@ -161,7 +265,7 @@ def backward_trace(
     d_init: object,
     post: Formula,
     k: Optional[int] = 5,
-    max_cubes: Optional[int] = 100_000,
+    max_cubes: Optional[int] = MAX_CUBES,
 ) -> MetaResult:
     """Run ``B[t](p, d_init, post)`` (Figure 7).
 
@@ -170,51 +274,59 @@ def backward_trace(
     replayed first (``B[t ; t'](p, d, f) = B[t](p, d, B[t'](p,
     Fp[t](d), f))`` threads them through), then the weakest
     precondition is folded backwards with ``approx`` applied at every
-    step.
+    step.  ``max_cubes`` bounds the cubes live at any point of a step's
+    DNF conversion (``None``: no bound).
+
+    The steps run on the theory's :class:`CubeUniverse`: each replaces
+    the literals of the current condition by their memoised mask DNFs
+    (:meth:`BackwardMetaAnalysis.wp_factors`), multiplies them out, and
+    simplifies and beam-prunes the masks.  The conditions are lifted
+    back to :class:`Dnf` values when the pass ends.
 
     Precondition (checked): ``(p, Fp[t](d_init))`` satisfies ``post`` —
     the trace really is a counterexample.  Guarantee (Theorem 3): the
     returned condition contains ``(p, d_init)``.
     """
     theory = meta.theory
+    universe = theory.universe()
     states = analysis.trace_states(trace, p, d_init)
     stats = {"subsumption_drops": 0, "beam_prunes": 0}
-    current = to_dnf(post, theory, max_cubes)
-    current = approx(current, theory, p, states[-1], k, stats)
-    if not evaluate(current, theory, p, states[-1]):
+    final = to_dnf(post, theory, max_cubes)
+    final = approx(final, theory, p, states[-1], k, stats)
+    if not evaluate(final, theory, p, states[-1]):
         raise ValueError(
             "backward_trace: the final forward state does not satisfy the "
             "post-condition; the given trace is not a counterexample"
         )
-    intermediate = [current]
-    max_disjuncts = len(current.cubes)
+    current = tuple(universe.lower(cube) for cube in final.cubes)
+    lifted = {current: final}
+    steps = [current]
+    max_disjuncts = len(current)
     for index in range(len(trace) - 1, -1, -1):
         # One backward command can hide a lot of formula work, so the
         # cooperative budget check here always consults the clock.
         robust_budget.checkpoint()
         command = trace[index]
-        # Fast path: when the command leaves every tracked primitive
-        # unchanged (the common case on long traces), the weakest
-        # precondition is the formula itself.
-        wp_cache = {
-            prim: meta.wp_cached(command, prim)
-            for cube in current.cubes
-            for literal in cube
-            for prim in [literal.prim]
-        }
-        if all(
-            pre == Lit(Literal(prim, True)) for prim, pre in wp_cache.items()
-        ):
-            intermediate.append(current)
-            continue
-        pre_formula = wp_substitute(current, wp_cache.__getitem__)
-        pre = to_dnf(pre_formula, theory, max_cubes)
-        current = approx(pre, theory, p, states[index], k, stats)
-        max_disjuncts = max(max_disjuncts, len(current.cubes))
-        intermediate.append(current)
-    intermediate.reverse()
+        union = 0
+        for cube in current:
+            union |= cube
+        factors = meta.wp_factors(command, union, max_cubes)
+        # ``None`` is the fast path: the command leaves every tracked
+        # literal unchanged (the common case on long traces), so the
+        # weakest precondition is the condition itself.
+        if factors is not None:
+            pre = universe.substitute(current, factors, max_cubes)
+            current = _approx_masks(universe, pre, p, states[index], k, stats)
+            max_disjuncts = max(max_disjuncts, len(current))
+        steps.append(current)
+    intermediate = []
+    for step in reversed(steps):
+        dnf = lifted.get(step)
+        if dnf is None:
+            dnf = lifted[step] = universe.lift_dnf(step)
+        intermediate.append(dnf)
     return MetaResult(
-        condition=current,
+        condition=intermediate[0],
         intermediate=tuple(intermediate),
         max_disjuncts=max_disjuncts,
         subsumption_drops=stats["subsumption_drops"],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.formula import Formula, Primitive, evaluate
-from repro.core.meta import BackwardMetaAnalysis, backward_trace
+from repro.core.meta import MAX_CUBES, BackwardMetaAnalysis, backward_trace
 from repro.core.parametric import ParametricAnalysis
 from repro.lang.ast import AtomicCommand, Trace
 
@@ -183,15 +183,16 @@ def check_soundness_on_trace(
     other_params: Iterable[object],
     k: Optional[int] = 5,
     max_violations: int = 10,
-    max_cubes: Optional[int] = None,
+    max_cubes: Optional[int] = MAX_CUBES,
 ) -> List[Violation]:
     """Check Theorem 3 on one counterexample trace.
 
     ``other_params`` is the set of abstractions to test clause (2)
     against (pass the whole family for an exhaustive check).
     ``max_cubes`` caps the backward DNF like the driver's
-    ``TracerConfig.max_cubes`` — certificate checking passes the
-    recorded cap so the replay matches the original derivation."""
+    ``TracerConfig.max_cubes``, ``None`` meaning no cap — certificate
+    checking passes the recorded cap so the replay matches the original
+    derivation."""
     theory = meta.theory
     final = analysis.run_trace(trace, p, d_init)
     if not evaluate(fail_condition, theory, p, final):
@@ -205,9 +206,8 @@ def check_soundness_on_trace(
                 detail="the final state does not satisfy the fail condition",
             )
         ]
-    extra = {} if max_cubes is None else {"max_cubes": max_cubes}
     result = backward_trace(
-        meta, analysis, trace, p, d_init, fail_condition, k=k, **extra
+        meta, analysis, trace, p, d_init, fail_condition, k=k, max_cubes=max_cubes
     )
     violations: List[Violation] = []
     if not evaluate(result.condition, theory, p, d_init):

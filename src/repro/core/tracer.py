@@ -48,7 +48,7 @@ from typing import (
 )
 
 from repro.core.formula import Formula, FormulaExplosion, evaluate
-from repro.core.meta import BackwardMetaAnalysis, backward_trace
+from repro.core.meta import MAX_CUBES, BackwardMetaAnalysis, backward_trace
 from repro.core.parametric import ParametricAnalysis
 from repro.core.stats import QueryRecord, QueryStatus
 from repro.core.viability import ParamTheory, ViabilityStore
@@ -296,7 +296,7 @@ class TracerConfig:
     k: Optional[int] = 5
     max_iterations: int = 60
     max_seconds: Optional[float] = None
-    max_cubes: Optional[int] = 200_000
+    max_cubes: Optional[int] = MAX_CUBES
     forward_cache_size: Optional[int] = 64
     max_steps: Optional[int] = None
     k_min: int = 1

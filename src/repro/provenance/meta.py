@@ -14,7 +14,7 @@ which the theory exploits exactly as the type-state theory does for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.formula import Formula, Literal, Primitive
 from repro.core.meta import BackwardMetaAnalysis
@@ -55,7 +55,8 @@ class PtHas(Primitive):
 
 
 class ProvenanceTheory(ParamTheory):
-    """Semantics and cube normalisation of the provenance primitives."""
+    """Semantics of the provenance primitives; cube normalisation
+    follows from :meth:`lit_entails`."""
 
     def holds(self, prim: Primitive, p, d: PtState) -> bool:
         if isinstance(prim, PtParam):
@@ -92,51 +93,6 @@ class ProvenanceTheory(ParamTheory):
             ):
                 return True
         return False
-
-    def cube_entails_literal(self, stronger, b: Literal) -> bool:
-        if b in stronger:
-            return True
-        if b.positive:
-            return False
-        if isinstance(b.prim, PtHas):
-            return Literal(PtTop(b.prim.var), True) in stronger
-        if isinstance(b.prim, PtTop):
-            return any(
-                a.positive
-                and isinstance(a.prim, PtHas)
-                and a.prim.var == b.prim.var
-                for a in stronger
-            )
-        return False
-
-    def normalize_cube(self, literals) -> Optional[frozenset]:
-        for l in literals:
-            if l.negate() in literals:
-                return None
-        tops = {
-            l.prim.var
-            for l in literals
-            if l.positive and isinstance(l.prim, PtTop)
-        }
-        out = set()
-        for l in literals:
-            if isinstance(l.prim, PtHas) and l.prim.var in tops:
-                if l.positive:
-                    return None  # top and has are exclusive
-                continue  # !has is implied by top
-            if (
-                not l.positive
-                and isinstance(l.prim, PtTop)
-                and any(
-                    l2.positive
-                    and isinstance(l2.prim, PtHas)
-                    and l2.prim.var == l.prim.var
-                    for l2 in literals
-                )
-            ):
-                continue  # !top implied by a positive has
-            out.add(l)
-        return frozenset(out)
 
 
 class ProvenanceMeta(BackwardMetaAnalysis):

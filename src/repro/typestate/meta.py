@@ -24,7 +24,7 @@ weakest precondition (requirement (2) of Section 4) in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.formula import Formula, Literal, Primitive
 from repro.core.meta import BackwardMetaAnalysis
@@ -79,7 +79,7 @@ class TypestateTheory(ParamTheory):
 
     Beyond literal equality, the theory knows that positive ``var``
     and ``type`` primitives exclude ``TOP`` while ``err`` asserts it;
-    cubes are normalised accordingly.
+    cube normalisation follows from :meth:`lit_entails`.
     """
 
     def holds(self, prim: Primitive, p, d) -> bool:
@@ -111,42 +111,6 @@ class TypestateTheory(ParamTheory):
             if not b.positive and isinstance(b.prim, (TsVar, TsType)):
                 return True
         return False
-
-    def cube_entails_literal(self, stronger, b: Literal) -> bool:
-        if b in stronger:
-            return True
-        if b.positive:
-            return False  # positive literals only entail themselves
-        if isinstance(b.prim, (TsVar, TsType)):
-            return Literal(ERR, True) in stronger
-        if isinstance(b.prim, TsErr):
-            return any(
-                a.positive and isinstance(a.prim, (TsVar, TsType))
-                for a in stronger
-            )
-        return False
-
-    def normalize_cube(self, literals) -> Optional[frozenset]:
-        for l in literals:
-            if l.negate() in literals:
-                return None
-        has_err = Literal(ERR, True) in literals
-        has_nonerr_fact = any(
-            l.positive and isinstance(l.prim, (TsVar, TsType)) for l in literals
-        )
-        if has_err and has_nonerr_fact:
-            return None
-        out = set(literals)
-        if has_err:
-            # err makes every negative var/type literal redundant.
-            out = {
-                l
-                for l in out
-                if l.positive or not isinstance(l.prim, (TsVar, TsType))
-            }
-        if has_nonerr_fact:
-            out.discard(Literal(ERR, False))
-        return frozenset(out)
 
 
 class TypestateMeta(BackwardMetaAnalysis):

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.formula import (
     FALSE,
     TRUE,
+    And,
+    FormulaExplosion,
+    Or,
     conj,
     disj,
     drop_k,
@@ -117,3 +120,43 @@ def test_dnf_cubes_sorted_by_size(formula):
     dnf = to_dnf(formula, TOY)
     sizes = [len(cube) for cube in dnf.cubes]
     assert sizes == sorted(sizes)
+
+
+def smallest_budget(formula):
+    """The smallest ``max_cubes`` under which ``to_dnf`` does not explode."""
+    budget = 0
+    while True:
+        try:
+            to_dnf(formula, TOY, max_cubes=budget)
+            return budget
+        except FormulaExplosion:
+            budget += 1
+
+
+def shuffled(formula, rng):
+    """``formula`` with the arguments of every ``And``/``Or`` permuted."""
+    if isinstance(formula, (And, Or)):
+        args = [shuffled(arg, rng) for arg in formula.args]
+        rng.shuffle(args)
+        return type(formula)(tuple(args))
+    return formula
+
+
+#: Conjunctions of small disjunctions: their DNF product is where the
+#: multiplication order shows.
+cnfs = st.lists(
+    st.lists(atoms, min_size=1, max_size=3).map(lambda fs: disj(*fs)),
+    min_size=2,
+    max_size=5,
+).map(lambda fs: conj(*fs))
+
+
+@given(st.one_of(formulas(), cnfs), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_to_dnf_independent_of_argument_order(formula, rng):
+    """Neither the DNF nor whether it explodes under a cube budget may
+    depend on the order of conjuncts and disjuncts (which follows hash
+    order wherever formulas are built from sets)."""
+    other = shuffled(formula, rng)
+    assert to_dnf(other, TOY) == to_dnf(formula, TOY)
+    assert smallest_budget(other) == smallest_budget(formula)

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core.formula import Theory, conj, lit
+from repro.core.formula import Literal, disj, lit
 from repro.core.lru import LruCache
+from repro.core.meta import BackwardMetaAnalysis
+from repro.lang.ast import Observe
+from tests.toys import StateFact, ToyTheory
 
 
 class TestLruCache:
@@ -53,43 +56,51 @@ class TestLruCache:
         assert cache.get("ghost", sentinel) is sentinel
 
 
-class TestNormalizeCachedEviction:
-    """The theory normalisation memo must degrade gracefully when its
-    working set crosses the bound (no clear-all thrashing)."""
+class SwapMeta(BackwardMetaAnalysis):
+    """``wp(state(x)) = state(x) | state(label)``, counting derivations."""
+
+    def __init__(self, bound=None):
+        self.theory = ToyTheory()
+        self.derived = 0
+        if bound is not None:
+            self.WP_CACHE_SIZE = bound
+
+    def wp_primitive(self, command, prim):
+        self.derived += 1
+        return disj(lit(prim), lit(StateFact(command.label)))
+
+
+class TestWpMemoEviction:
+    """The wp memo — the LRU left on the backward pass, holding each
+    wp formula and its lowered mask DNFs — must degrade gracefully when
+    its working set crosses the bound (no clear-all thrashing)."""
 
     def test_bound_evicts_incrementally(self):
-        from repro.core.formula import Literal, Primitive
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Atom(Primitive):
-            name: str
-
-        theory = Theory()
-        theory.NORMALIZE_CACHE_SIZE = 8
-        cubes = [frozenset({Literal(Atom(f"a{i}"), True)}) for i in range(12)]
-        for cube in cubes:
-            theory.normalize_cached(cube)
-        cache = theory._normalize_cache
+        meta = SwapMeta(bound=8)
+        commands = [Observe(f"c{i}") for i in range(12)]
+        for command in commands:
+            meta.wp_cached(command, StateFact("x"))
+        cache = meta._wp_cache
         assert len(cache) == 8
         # The most recent entries survived; the oldest were evicted one
         # at a time.
-        assert cubes[-1] in cache
-        assert cubes[0] not in cache
+        assert commands[-1] in cache
+        assert commands[0] not in cache
+        assert meta.derived == 12
 
     def test_memoised_result_matches_direct(self):
-        from repro.core.formula import Literal, Primitive
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Atom(Primitive):
-            name: str
-
-        theory = Theory()
-        contradictory = frozenset(
-            {Literal(Atom("x"), True), Literal(Atom("x"), False)}
-        )
-        assert theory.normalize_cached(contradictory) is None
-        # Second lookup is served from cache and still None.
-        assert theory.normalize_cached(contradictory) is None
-        assert theory._normalize_cache.hits >= 1
+        meta = SwapMeta()
+        command, prim = Observe("c"), StateFact("x")
+        universe = meta.theory.universe()
+        assert meta.wp_cached(command, prim) == meta.wp_primitive(command, prim)
+        # The lowered DNFs of both polarities come from the memoised
+        # formula and stay in the same entry.
+        positive = universe.bit_of(Literal(prim, True))
+        negative = universe.bit_of(Literal(prim, False))
+        factors = meta.wp_factors(command, 1 << positive | 1 << negative, None)
+        assert meta.derived == 2  # one memoised, one direct call
+        assert meta.wp_hits >= 2 and meta.wp_misses == 1
+        assert len(factors[positive]) == 2 and len(factors[negative]) == 1
+        again = meta.wp_factors(command, 1 << positive, None)
+        assert again[positive] is factors[positive]
+        assert meta.derived == 2

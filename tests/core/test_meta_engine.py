@@ -133,3 +133,24 @@ class TestWpCache:
             assert meta.wp_cached(command, prim) == meta.wp_primitive(
                 command, prim
             )
+
+    def test_lowered_factors_follow_universe_growth(self):
+        """A literal interned after a wp was lowered may relate to the
+        lowered cubes' literals; the memo hands out their info updated."""
+        from repro.core.formula import Literal
+        from repro.typestate.meta import TsVar
+
+        meta = TypestateMeta(_analysis())
+        universe = meta.theory.universe()
+        command = Invoke("x", "open")
+        err = universe.bit_of(Literal(ERR, True))
+        first = meta.wp_factors(command, 1 << err, None)
+        assert first is not None and first[err] != universe.unit(err)
+        epoch = universe.epoch
+        universe.bit_of(Literal(TsVar("fresh"), True))  # err excludes var(fresh)
+        assert universe.epoch > epoch
+        again = meta.wp_factors(command, 1 << err, None)
+        assert list(again[err]) == list(first[err])
+        for mask, info in again[err].items():
+            assert info == universe.info(mask)
+        assert any(again[err][mask] != first[err][mask] for mask in first[err])

@@ -86,6 +86,37 @@ class TestEmission:
 
 
 class TestChecking:
+    def test_uncapped_certificate_replays_uncapped(self, monkeypatch):
+        """A certificate recorded with ``"max_cubes": null`` is checked
+        with no cube cap in both of its replays, like its solve."""
+        import inspect
+
+        from repro.core import selfcheck
+        from repro.robust import certify
+
+        store = CertificateStore()
+        config = TracerConfig(k=5, max_iterations=30, max_cubes=None)
+        Tracer(_client(), config, certificates=store).solve_all(
+            [Q_PROVEN, Q_IMPOSSIBLE]
+        )
+        real = certify.backward_trace
+        signature = inspect.signature(real)
+        caps = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            caps.append(bound.arguments["max_cubes"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selfcheck, "backward_trace", spy)
+        monkeypatch.setattr(certify, "backward_trace", spy)
+        queries = {str(Q_PROVEN): Q_PROVEN, str(Q_IMPOSSIBLE): Q_IMPOSSIBLE}
+        for name, cert in store.by_query().items():
+            assert cert["max_cubes"] is None
+            assert check_certificate(_client(), queries[name], cert).ok
+        assert caps and all(cap is None for cap in caps)
+
     def test_genuine_certificates_check_out(self):
         store = _certify([Q_PROVEN, Q_IMPOSSIBLE])
         for query in (Q_PROVEN, Q_IMPOSSIBLE):
