@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.bench.suite import benchmark
 from repro.core.stats import CacheCounters, QueryRecord
@@ -129,33 +129,16 @@ def typestate_setup(
     """Build one type-state client per queried tracked site.
 
     Returns ``(client, queries)`` pairs; queries on the same tracked
-    site share a client (and hence TRACER's grouping optimisation)."""
+    site share a client (and hence TRACER's grouping optimisation), and
+    the clients are one :meth:`TypestateClient.family`."""
     inlined = bench.inlined
-    methods = sorted({m for *_rest, m in inlined.call_points.values()})
-    if not methods:
-        return []
-    automaton = stress_automaton(methods)
-    event_labels = frozenset(inlined.call_points)
-    app_sites = set(bench.front.app_sites())
-    per_site: Dict[str, List[TypestateQuery]] = {}
-    for pc, (cls, meth, base, _m) in sorted(inlined.call_points.items()):
-        for site in sorted(bench.callgraph.pts_var(cls, meth, base)):
-            if site in app_sites:
-                per_site.setdefault(site, []).append(
-                    TypestateQuery(pc, frozenset({"init"}))
-                )
-    out: List[Tuple[TypestateClient, List[TypestateQuery]]] = []
-    for site in sorted(per_site):
-        client = TypestateClient(
-            inlined.program,
-            automaton,
-            tracked_site=site,
-            variables=inlined.variables,
-            may_point=bench.oracle.for_site(site),
-            event_labels=event_labels,
-        )
-        out.append((client, per_site[site]))
-    return out
+    return _typestate_family(
+        bench,
+        inlined.program,
+        inlined.call_points,
+        inlined.variables,
+        bench.oracle,
+    )
 
 
 def typestate_setup_interproc(
@@ -166,32 +149,45 @@ def typestate_setup_interproc(
     from repro.frontend.procedures import lower_procedures
 
     procs = lower_procedures(bench.front, bench.callgraph)
-    methods = sorted({m for *_rest, m in procs.call_points.values()})
+    return _typestate_family(
+        bench,
+        procs.graph,
+        procs.call_points,
+        procs.variables,
+        MayAliasOracle(bench.callgraph, procs.var_origin),
+    )
+
+
+def _typestate_family(
+    bench: BenchmarkInstance,
+    program,
+    call_points: Dict[str, Tuple[str, str, str, str]],
+    variables: FrozenSet[str],
+    oracle: MayAliasOracle,
+) -> List[Tuple[TypestateClient, List[TypestateQuery]]]:
+    """The ``(client, queries)`` pairs of one lowered program: one query
+    per call point and application site its receiver may point to, and
+    one client per site, in site order."""
+    methods = sorted({m for *_rest, m in call_points.values()})
     if not methods:
         return []
-    automaton = stress_automaton(methods)
-    event_labels = frozenset(procs.call_points)
-    oracle = MayAliasOracle(bench.callgraph, procs.var_origin)
     app_sites = set(bench.front.app_sites())
     per_site: Dict[str, List[TypestateQuery]] = {}
-    for pc, (cls, meth, base, _m) in sorted(procs.call_points.items()):
+    for pc, (cls, meth, base, _m) in sorted(call_points.items()):
         for site in sorted(bench.callgraph.pts_var(cls, meth, base)):
             if site in app_sites:
                 per_site.setdefault(site, []).append(
                     TypestateQuery(pc, frozenset({"init"}))
                 )
-    out: List[Tuple[TypestateClient, List[TypestateQuery]]] = []
-    for site in sorted(per_site):
-        client = TypestateClient(
-            procs.graph,
-            automaton,
-            tracked_site=site,
-            variables=procs.variables,
-            may_point=oracle.for_site(site),
-            event_labels=event_labels,
-        )
-        out.append((client, per_site[site]))
-    return out
+    sites = sorted(per_site)
+    clients = TypestateClient.family(
+        program,
+        stress_automaton(methods),
+        variables,
+        [(site, oracle.for_site(site)) for site in sites],
+        event_labels=frozenset(call_points),
+    )
+    return [(client, per_site[site]) for client, site in zip(clients, sites)]
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -25,13 +25,14 @@ under-approximation" mode of Figure 6(a)).
 :func:`backward_trace` runs its steps on the theory's interned
 bit-mask cubes (:class:`~repro.core.formula.CubeUniverse`), with each
 ``wp(prim)`` and ``not wp(prim)`` lowered to a mask DNF once per
-(command, literal) beside the wp memo.
+(table key, literal) beside the wp memo.  Sibling metas over one
+theory may share the memo (:meth:`BackwardMetaAnalysis.share_wp_memo`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.core.formula import (
     CubeUniverse,
@@ -79,7 +80,7 @@ class BackwardMetaAnalysis:
         """
         raise NotImplementedError
 
-    #: Bound on the wp memo, in commands; eviction is LRU, one command
+    #: Bound on the wp memo, in table keys; eviction is LRU, one key
     #: at a time.
     WP_CACHE_SIZE = 200_000
 
@@ -92,6 +93,31 @@ class BackwardMetaAnalysis:
     #: Registry suffix naming this client's wp memo; concrete meta
     #: bindings override it (``"typestate"``, ``"escape"``, ...).
     metrics_name: str = "meta"
+
+    #: ``table_key`` -> :class:`_CommandWp`; created on first use unless
+    #: :meth:`share_wp_memo` installed a sibling's.
+    _wp_cache: Optional[LruCache] = None
+    #: Whether the memo counters are registered; once per meta, also
+    #: when the memo itself is shared.
+    _wp_registered: bool = False
+
+    def table_key(self, command: AtomicCommand) -> Hashable:
+        """The key of ``command``'s wp memo entry: the command itself by
+        default.  Metas derived from a :class:`GuardedSemantics` return
+        its :meth:`~repro.core.semantics.GuardedSemantics.table_key`, so
+        that commands with equal tables share one entry."""
+        return command
+
+    def share_wp_memo(self, sibling: "BackwardMetaAnalysis") -> None:
+        """Use ``sibling``'s wp memo from now on.  Sound only when both
+        metas share one theory (the memo's lowered DNFs live on its
+        :class:`CubeUniverse`) and map equal table keys to equal
+        weakest preconditions."""
+        if sibling.theory is not self.theory:
+            raise ValueError("metas sharing a wp memo must share one theory")
+        if sibling._wp_cache is None:
+            sibling._wp_cache = LruCache(sibling.WP_CACHE_SIZE)
+        self._wp_cache = sibling._wp_cache
 
     def wp_cached(self, command: AtomicCommand, prim) -> Formula:
         """Memoised :meth:`wp_primitive` — the same (command, primitive)
@@ -106,7 +132,7 @@ class BackwardMetaAnalysis:
         literal, ``not wp(prim)`` for a negative one.  ``None`` when
         ``command`` leaves every one of those literals unchanged.
 
-        Each literal is lowered once per command, into the command's
+        Each literal is lowered once per table key, into the key's
         wp memo entry, which also keeps the peak cube count of the
         conversion: a literal whose peak exceeds ``max_cubes`` raises
         :class:`FormulaExplosion`."""
@@ -145,16 +171,19 @@ class BackwardMetaAnalysis:
         return factors
 
     def _wp_record(self, command: AtomicCommand) -> "_CommandWp":
-        cache = getattr(self, "_wp_cache", None)
-        if cache is None:
-            cache = self._wp_cache = LruCache(self.WP_CACHE_SIZE)
+        if not self._wp_registered:
+            self._wp_registered = True
             obs_metrics.register_cache(
                 f"wp_memo.{self.metrics_name}", self, _wp_counters
             )
-        record = cache.get(command)
+        cache = self._wp_cache
+        if cache is None:
+            cache = self._wp_cache = LruCache(self.WP_CACHE_SIZE)
+        key = self.table_key(command)
+        record = cache.get(key)
         if record is None:
             record = _CommandWp()
-            cache.put(command, record)
+            cache.put(key, record)
         return record
 
     def _wp_formula(self, record: "_CommandWp", command: AtomicCommand, prim) -> Formula:

@@ -31,9 +31,11 @@ The pieces:
   which primitive talks about which location, how to read/write a
   location on the concrete state representation, and how to test a
   primitive quickly.
-* :class:`GuardedSemantics` — owns the per-program compiled dispatch
-  cache (command -> resolved case table, built once) shared by forward
-  runs and wp derivation, with hit/miss counters for the report.
+* :class:`GuardedSemantics` — owns the compiled-command store
+  (:meth:`~GuardedSemantics.table_key` -> resolved case table, built
+  once) shared by forward runs and wp derivation, with hit/miss
+  counters for the report.  Sibling semantics of one program (the
+  type-state clients of different tracked sites) share one store.
 
 Tables are validated at compile time: the guards must be *total* and
 *pairwise disjoint* relative to the binding's theory
@@ -43,7 +45,7 @@ and the derived wp is exact.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.formula import (
     And,
@@ -941,19 +943,30 @@ class BoundStep:
 class GuardedSemantics:
     """A client's transfer semantics, defined once as case tables.
 
-    Subclasses implement :meth:`table_for`.  The compiled dispatch
-    cache (command -> :class:`CompiledCommand`) is built lazily, once
-    per distinct command per program, and shared by the forward runs of
-    *every* abstraction and by the backward wp derivation.
+    Subclasses implement :meth:`table_for`.  The compiled-command store
+    (:meth:`table_key` -> :class:`CompiledCommand`) is filled lazily,
+    once per distinct key, and shared by the forward runs of *every*
+    abstraction and by the backward wp derivation.
+
+    ``compiled_store`` lets sibling semantics share one store: pass the
+    first sibling's ``compiled_store`` and ``binding`` to the others.
+    That is sound when every sibling maps equal keys to equal tables
+    (the :meth:`table_key` contract).
     """
 
     #: Registry suffix naming this client's dispatch cache; concrete
     #: semantics override it (``"typestate"``, ``"escape"``, ...).
     metrics_name: str = "semantics"
 
-    def __init__(self, binding: SemanticsBinding):
+    def __init__(
+        self,
+        binding: SemanticsBinding,
+        compiled_store: Optional[Dict[object, CompiledCommand]] = None,
+    ):
         self.binding = binding
-        self._compiled: Dict[object, CompiledCommand] = {}
+        self.compiled_store: Dict[object, CompiledCommand] = (
+            {} if compiled_store is None else compiled_store
+        )
         self._bound_steps: Dict[object, BoundStep] = {}
         self.dispatch_hits = 0
         self.dispatch_misses = 0
@@ -967,16 +980,27 @@ class GuardedSemantics:
         """The case table of ``command``."""
         raise NotImplementedError
 
+    def table_key(self, command) -> Hashable:
+        """The key ``command``'s compiled table is stored under, here
+        and in the backward wp memo.
+
+        Contract: :meth:`table_for` is a function of the key — equal
+        keys, from this semantics or from a sibling sharing its
+        compiled store, mean equal tables.  The default, the command
+        itself, holds for any semantics whose tables read nothing but
+        the command."""
+        return command
+
     # -- dispatch ----------------------------------------------------------
 
     def compiled(self, command) -> CompiledCommand:
-        entry = self._compiled.get(command)
+        key = self.table_key(command)
+        entry = self.compiled_store.get(key)
         if entry is None:
             self.dispatch_misses += 1
-            entry = CompiledCommand(
+            entry = self.compiled_store[key] = CompiledCommand(
                 self.table_for(command), self.binding, command
             )
-            self._compiled[command] = entry
         else:
             self.dispatch_hits += 1
         return entry

@@ -68,8 +68,11 @@ class TabulationEngine:
         return run_tabulation(self.graph, step, entry_state, cache)
 
 
-def engine_for(program: Union[Program, ProcGraph]):
-    """Pick the engine matching the program representation."""
+def engine_for(program: Union[Program, ProcGraph, Cfg]):
+    """Pick the engine matching the program representation; a built
+    :class:`Cfg` is used as is."""
     if isinstance(program, ProcGraph):
         return TabulationEngine(program)
+    if isinstance(program, Cfg):
+        return CollectingEngine(program)
     return CollectingEngine(build_cfg(program))

@@ -229,7 +229,12 @@ class Restart(Effect):
 
 
 class TypestateSemantics(GuardedSemantics):
-    """Case tables of the type-state transfer functions."""
+    """Case tables of the type-state transfer functions.
+
+    A table depends on the tracked site only at ``New`` and at event
+    calls, and :meth:`table_key` records exactly that, so semantics of
+    different sites over one automaton can share a binding and a
+    compiled store: pass the first as ``sibling`` to the others."""
 
     metrics_name = "typestate"
 
@@ -238,11 +243,27 @@ class TypestateSemantics(GuardedSemantics):
         automaton: TypestateAutomaton,
         tracked_site: str,
         is_event: Callable[[AtomicCommand], bool],
+        sibling: Optional["TypestateSemantics"] = None,
     ):
-        super().__init__(TypestateBinding())
+        if sibling is None:
+            super().__init__(TypestateBinding())
+        elif sibling.automaton is not automaton:
+            raise ValueError("sibling semantics must share one automaton")
+        else:
+            super().__init__(sibling.binding, sibling.compiled_store)
         self.automaton = automaton
         self.tracked_site = tracked_site
         self._is_event = is_event
+
+    def table_key(self, command: AtomicCommand):
+        """A ``New`` table depends on whether it allocates the tracked
+        site, an ``Invoke`` table on whether it is an event; every other
+        table on the command alone."""
+        if isinstance(command, New):
+            return (command, command.site == self.tracked_site)
+        if isinstance(command, Invoke):
+            return (command, self._is_event(command))
+        return command
 
     def table_for(self, command: AtomicCommand):
         if isinstance(command, New):
@@ -328,7 +349,11 @@ class TypestateSemantics(GuardedSemantics):
 
 
 class TypestateAnalysis(ParametricAnalysis):
-    """The parametric type-state analysis ``(2^V, |.|, D, [[.]]p)``."""
+    """The parametric type-state analysis ``(2^V, |.|, D, [[.]]p)``.
+
+    ``sibling``, an analysis of another site over the same automaton,
+    lends this one its binding and compiled store (see
+    :class:`TypestateSemantics`)."""
 
     def __init__(
         self,
@@ -337,6 +362,7 @@ class TypestateAnalysis(ParametricAnalysis):
         variables: FrozenSet[str],
         may_point: Optional[MayPoint] = None,
         event_labels: Optional[FrozenSet[str]] = None,
+        sibling: Optional["TypestateAnalysis"] = None,
     ):
         self.automaton = automaton
         self.tracked_site = tracked_site
@@ -344,7 +370,10 @@ class TypestateAnalysis(ParametricAnalysis):
         self.may_point: MayPoint = may_point or (lambda _var: True)
         self.event_labels = event_labels
         self.semantics = TypestateSemantics(
-            automaton, tracked_site, self.is_event
+            automaton,
+            tracked_site,
+            self.is_event,
+            None if sibling is None else sibling.semantics,
         )
 
     def initial_state(self) -> TsState:

@@ -9,17 +9,21 @@ may denote is in an *allowed* type-state.  The failure condition is::
 One :class:`TypestateClient` binds a program and a single tracked
 allocation site; queries on different sites use different client
 instances (their forward analyses track different objects).
+:meth:`TypestateClient.family` builds the clients of several sites of
+one program at once, sharing everything that does not depend on the
+site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core.formula import Formula, disj, lit
 from repro.core.selfcheck import sample_pairs, sample_subsets
 from repro.core.tracer import TracerClient
 from repro.dataflow.engines import ForwardResult, engine_for
+from repro.dataflow.interproc import ProcGraph
 from repro.lang.ast import Program
 from repro.lang.cfg import Cfg, build_cfg
 from repro.typestate.analysis import MayPoint, TypestateAnalysis
@@ -46,20 +50,69 @@ class TypestateClient(TracerClient):
 
     def __init__(
         self,
-        program: Program,
+        program: Union[Program, ProcGraph],
         automaton: TypestateAutomaton,
         tracked_site: str,
         variables: FrozenSet[str],
         may_point: Optional[MayPoint] = None,
         event_labels: Optional[FrozenSet[str]] = None,
     ):
-        self.program = program
-        self.engine = engine_for(program)
-        self.cfg: Optional[Cfg] = getattr(self.engine, "cfg", None)
-        self.analysis = TypestateAnalysis(
+        analysis = TypestateAnalysis(
             automaton, tracked_site, variables, may_point, event_labels
         )
-        self.meta = TypestateMeta(self.analysis)
+        self._assemble(program, engine_for(program), analysis)
+
+    @classmethod
+    def family(
+        cls,
+        program: Union[Program, ProcGraph],
+        automaton: TypestateAutomaton,
+        variables: FrozenSet[str],
+        sites: Sequence[Tuple[str, Optional[MayPoint]]],
+        event_labels: Optional[FrozenSet[str]] = None,
+    ) -> List["TypestateClient"]:
+        """One client per ``(tracked_site, may_point)`` pair of
+        ``sites``, in order, built as one family.
+
+        The clients share what does not depend on the tracked site: one
+        CFG (or procedure graph), one binding — and through it one
+        theory and cube universe —, one compiled-command store and one
+        backward wp memo, both keyed by
+        :meth:`~repro.typestate.analysis.TypestateSemantics.table_key`.
+        Each keeps its own engine, forward-run cache key and cache
+        counters, and finds what a standalone client finds."""
+        if not sites:
+            return []
+        graph = program if isinstance(program, ProcGraph) else build_cfg(program)
+        clients: List[TypestateClient] = []
+        for site, may_point in sites:
+            sibling = clients[0] if clients else None
+            analysis = TypestateAnalysis(
+                automaton,
+                site,
+                variables,
+                may_point,
+                event_labels,
+                None if sibling is None else sibling.analysis,
+            )
+            client = cls.__new__(cls)
+            client._assemble(program, engine_for(graph), analysis)
+            if sibling is not None:
+                client.meta.share_wp_memo(sibling.meta)
+            clients.append(client)
+        return clients
+
+    def _assemble(
+        self,
+        program: Union[Program, ProcGraph],
+        engine,
+        analysis: TypestateAnalysis,
+    ) -> None:
+        self.program = program
+        self.engine = engine
+        self.cfg: Optional[Cfg] = getattr(engine, "cfg", None)
+        self.analysis = analysis
+        self.meta = TypestateMeta(analysis)
 
     def fail_condition(self, query: TypestateQuery) -> Formula:
         bad_states = sorted(self.analysis.automaton.states - query.allowed)

@@ -116,13 +116,17 @@ class TypestateTheory(ParamTheory):
 class TypestateMeta(BackwardMetaAnalysis):
     """Backward weakest preconditions on primitives (Figure 10),
     derived from the forward case tables (requirement (2) by
-    construction)."""
+    construction).  The wp memo is keyed like the compiled store, by
+    the semantics' ``table_key``."""
 
     metrics_name = "typestate"
 
     def __init__(self, analysis):
         self.analysis = analysis
         self.theory = analysis.semantics.binding.theory
+
+    def table_key(self, command: AtomicCommand):
+        return self.analysis.semantics.table_key(command)
 
     def wp_primitive(self, command: AtomicCommand, prim: Primitive) -> Formula:
         return self.analysis.semantics.wp_primitive(command, prim)

@@ -91,6 +91,22 @@ class TestSingleSourceOfTruth:
             wp_misses,
         )
 
+    def test_sibling_dispatch_misses_count_distinct_table_keys(self):
+        """Sibling typestate clients share one compiled store but each
+        registers and counts its own lookups, so their summed misses
+        are the tables compiled: one per distinct table key."""
+        bench = prepare("weblech")
+        config = TracerConfig(k=5, max_iterations=30)
+        with obs_metrics.scoped_registry() as registry:
+            setups = analysis_setups(bench, "typestate")
+            cache = ForwardRunCache(config.forward_cache_size)
+            for client, queries in setups:
+                Tracer(client, config, forward_cache=cache).solve_all(queries)
+            snapshot = registry.snapshot()
+            assert registry.source_count("dispatch.typestate") == len(setups)
+        store = setups[0][0].analysis.semantics.compiled_store
+        assert snapshot["dispatch.typestate"].misses == len(store)
+
     def test_per_record_hits_sum_to_registry_total(self, tsp_result):
         """The per-query `forward_cache_hits` accounting must agree
         with the registry's forward_run total: a cached round is
