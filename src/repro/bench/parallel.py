@@ -174,6 +174,39 @@ UnitResult = Tuple[
 ]
 
 
+class _Family:
+    """The ``(client, queries)`` setups of one ``(benchmark, analysis)``
+    pair and the registry their caches report to.
+
+    A lease worker keeps one resident across its tasks and reuses it
+    while consecutive tasks name the same pair, so sibling tasks share
+    compiled tables and wp memos as the serial eval's units do; a task
+    of another pair replaces it, so a worker holds at most one family.
+    The registry lives as long as the family, so each task can count
+    its own traffic on every family cache, including caches an earlier
+    task registered lazily."""
+
+    def __init__(self) -> None:
+        self.pair: Optional[Tuple[str, int, str]] = None
+        self.setups: list = []
+        self.registry = obs_metrics.MetricsRegistry()
+
+    def enter(
+        self, bench: BenchmarkInstance, unit: WorkUnit
+    ) -> Tuple[list, obs_metrics.Readings]:
+        """``unit``'s setups, and the readings its task's traffic counts
+        from (none when the family is built for this task)."""
+        pair = (unit.benchmark, unit.token, unit.analysis)
+        if pair == self.pair:
+            return self.setups, self.registry.readings()
+        self.pair, self.setups = None, []  # release the previous family
+        self.registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.scoped_registry(self.registry):
+            self.setups = analysis_setups(bench, unit.analysis)
+        self.pair = pair
+        return self.setups, {}
+
+
 def _run_unit(
     unit: WorkUnit,
     config: TracerConfig,
@@ -191,14 +224,17 @@ def _run_group(
     collect_events: bool = False,
     certify: bool = False,
     clause_feed=None,
+    family: Optional[_Family] = None,
 ) -> UnitResult:
     """Worker entry point: run one unit — or, when ``group`` is
     ``(lo, hi, group_index)``, the query slice ``[lo:hi]`` of it —
-    under a scoped metrics registry (and, when requested, an in-memory
-    trace sink), returning its records in query order plus the registry
-    snapshot, the captured event stream, and the stamped verdict
-    certificates.  ``clause_feed`` plugs the solve into the cross-worker
-    clause bus (lease mode)."""
+    under its family's metrics registry (and, when requested, an
+    in-memory trace sink), returning its records in query order plus
+    the snapshot of this call's cache traffic, the captured event
+    stream, and the stamped verdict certificates.  ``clause_feed``
+    plugs the solve into the cross-worker clause bus and ``family`` is
+    the worker's resident client family (lease mode); without one the
+    unit's family is built for this call alone."""
     bench = _instance(unit)
     # Fault sites for the chaos/retry machinery: a generic one and one
     # addressing this exact unit.  A "corrupt" rule damages the unit's
@@ -212,10 +248,10 @@ def _run_group(
         or corrupt
     )
     sink = MemorySink() if collect_events else None
-    with obs_metrics.scoped_registry() as registry:
-        # Client construction happens inside the scope so the caches
-        # it builds (dispatch tables, wp memos) register here.
-        client, queries = analysis_setups(bench, unit.analysis)[unit.index]
+    family = family if family is not None else _Family()
+    setups, since = family.enter(bench, unit)
+    with obs_metrics.scoped_registry(family.registry) as registry:
+        client, queries = setups[unit.index]
         group_queries = queries if group is None else queries[group[0]:group[1]]
         if not group_queries:
             return [], {}, [], []
@@ -260,7 +296,7 @@ def _run_group(
                 solved = run()
         else:
             solved = run()
-        snapshot = registry.snapshot()
+        snapshot = registry.snapshot(since)
     records = [solved[q] for q in group_queries]
     if corrupt:
         records = records[:-1]
@@ -365,6 +401,7 @@ def _run_leased(
     config: TracerConfig,
     options: RunOptions,
     max_workers: int,
+    query_ids: Dict[UnitKey, List[str]],
 ) -> Tuple[List[Optional[UnitResult]], List[str], bool]:
     """Run ``units`` on the lease-based work-stealing scheduler
     (:func:`repro.robust.scheduler.run_leased`), honouring both layers
@@ -375,6 +412,7 @@ def _run_leased(
     unit never finished, so a unit that died 9/10 groups in re-solves
     only the last group.
 
+    ``query_ids`` holds every unit's query ids (:func:`_pair_units`).
     Same contract as :func:`_run_resilient`: ``(per-unit results in
     unit order, failed unit descriptions, degraded flag)``.
     """
@@ -397,9 +435,7 @@ def _run_leased(
     pending = [i for i in range(len(units)) if results[i] is None]
     collect = obs.active()
 
-    # Decompose pending units into group tasks.  The parent already
-    # synthesizes every instance (work_units did), so sizing the groups
-    # off analysis_setups costs nothing new.
+    # Decompose pending units into group tasks.
     tasks: List[TaskKey] = []
     bounds_of: Dict[TaskKey, Optional[Tuple[int, int, int]]] = {}
     queries_of: Dict[TaskKey, List[str]] = {}
@@ -408,10 +444,8 @@ def _run_leased(
     size = max(0, options.group_size)
     for position in pending:
         unit = units[position]
-        bench = _instance(unit)
-        _client, queries = analysis_setups(bench, unit.analysis)[unit.index]
-        ids = [str(query) for query in queries]
-        count = len(queries)
+        ids = query_ids[unit.key]
+        count = len(ids)
         if size and count > size:
             groups: List[Optional[Tuple[int, int, int]]] = [
                 (lo, min(lo + size, count), gi)
@@ -442,18 +476,30 @@ def _run_leased(
         ClauseBus(bus_path, worker="parent", fresh=not options.resume)
 
     use_bus = options.clause_bus
+    # Worker state: each forked worker gets its own copy and keeps it
+    # across its tasks — one bus handle, one resident client family.
+    buses: Dict[int, ClauseBus] = {}
+    family = _Family()
 
-    def execute(task: TaskKey) -> Tuple[dict, str]:
+    def execute(task: TaskKey, attempt: int) -> Tuple[dict, str]:
         position = position_of[task]
         unit = units[position]
         bounds = bounds_of[task]
         feed = None
         if use_bus:
-            bus = ClauseBus(bus_path, worker=f"pid-{_os.getpid()}")
-            feed = ClauseFeed(bus, scope=":".join(str(p) for p in task))
+            pid = _os.getpid()
+            if pid not in buses:
+                buses[pid] = ClauseBus(bus_path, worker=f"pid-{pid}")
+            # Only a re-execution can find rounds published for its
+            # scope, so a first attempt never reads the bus.
+            feed = ClauseFeed(
+                buses[pid],
+                scope=":".join(str(p) for p in task),
+                replay=attempt > 1,
+            )
         try:
             result = _run_group(
-                unit, bounds, config, collect, options.certify, feed
+                unit, bounds, config, collect, options.certify, feed, family
             )
         except ClauseFeedMismatch:
             # A drained round failed re-validation: never trust the
@@ -465,13 +511,17 @@ def _run_leased(
                     task=":".join(str(p) for p in task),
                 )
             result = _run_group(
-                unit, bounds, config, collect, options.certify, None
+                unit, bounds, config, collect, options.certify, None, family
             )
         return _group_payload(task, queries_of[task], result)
 
+    # Longest task first, so the biggest unit is not the one still
+    # running while the other workers idle.  The sort is stable (ties
+    # keep unit order); records are merged in unit order regardless.
+    claim_order = sorted(tasks, key=lambda task: -len(queries_of[task]))
     try:
         scheduled: SchedulerResult = run_leased(
-            tasks,
+            claim_order,
             execute,
             lease_path,
             workers=max_workers,
@@ -590,12 +640,37 @@ def _run_leased(
 def work_units(bench: BenchmarkInstance, analysis: str) -> List[WorkUnit]:
     """Enumerate the independent workloads of one benchmark/analysis in
     the order the serial harness evaluates them."""
-    token = _seed_instance(bench)
+    return _pair_units(bench, bench.name, analysis, _seed_instance(bench))[0]
+
+
+def _pair_units(
+    bench: BenchmarkInstance, name: str, analysis: str, token: int
+) -> Tuple[List[WorkUnit], Dict[UnitKey, List[str]]]:
+    """The work units of one ``(benchmark, analysis)`` pair and each
+    unit's query ids, from one build of the pair's client family (none
+    of which is kept: forked workers would inherit it)."""
     front = None if bench.standard else bench.front
-    return [
-        WorkUnit(bench.name, analysis, index, token, front)
-        for index in range(len(analysis_setups(bench, analysis)))
-    ]
+    units: List[WorkUnit] = []
+    query_ids: Dict[UnitKey, List[str]] = {}
+    setups = analysis_setups(bench, analysis)
+    for index, (_client, queries) in enumerate(setups):
+        unit = WorkUnit(name, analysis, index, token, front)
+        units.append(unit)
+        query_ids[unit.key] = [str(query) for query in queries]
+    return units, query_ids
+
+
+def _run(
+    units: Sequence[WorkUnit],
+    config: TracerConfig,
+    options: RunOptions,
+    max_workers: int,
+    query_ids: Dict[UnitKey, List[str]],
+) -> Tuple[List[Optional[UnitResult]], List[str], bool]:
+    """Run ``units`` on the scheduler ``options`` names."""
+    if options.scheduler == "leases":
+        return _run_leased(units, config, options, max_workers, query_ids)
+    return _run_resilient(units, config, options, max_workers)
 
 
 def _merge(
@@ -752,7 +827,9 @@ def evaluate_benchmark_parallel(
     from repro.bench.harness import evaluate_benchmark
 
     options = options if options is not None else RunOptions()
-    units = work_units(bench, analysis)
+    units, query_ids = _pair_units(
+        bench, bench.name, analysis, _seed_instance(bench)
+    )
     # The serial fast path would silently drop checkpointing and fault
     # injection, so it only applies when no robustness option is set;
     # a grouped run (group_size > 0) always goes through the scheduler
@@ -768,11 +845,8 @@ def evaluate_benchmark_parallel(
     if jobs > 1 and len(units) <= 1 and not robust:
         return evaluate_benchmark(bench, analysis, config, options=options)
     started = time.perf_counter()
-    runner = (
-        _run_leased if options.scheduler == "leases" else _run_resilient
-    )
-    unit_results, failed, degraded = runner(
-        units, config, options, max_workers=max(1, min(jobs, len(units)))
+    unit_results, failed, degraded = _run(
+        units, config, options, max(1, min(jobs, len(units))), query_ids
     )
     _replay_into_parent(unit_results)
     result = _merge(
@@ -819,28 +893,21 @@ def evaluate_many(
         return return_serial
 
     started = time.perf_counter()
-    units_of: Dict[Tuple[str, str], List[WorkUnit]] = {}
     tokens: Dict[str, int] = {}
+    flat: List[WorkUnit] = []
+    spans: Dict[Tuple[str, str], Tuple[int, int]] = {}
+    query_ids: Dict[UnitKey, List[str]] = {}
     for name, analysis in pairs:
         bench = instances[name]
         # One seed token per instance, shared by its analyses.
         if name not in tokens:
             tokens[name] = _seed_instance(bench)
-        front = None if bench.standard else bench.front
-        units_of[(name, analysis)] = [
-            WorkUnit(name, analysis, index, tokens[name], front)
-            for index in range(len(analysis_setups(bench, analysis)))
-        ]
-    flat: List[WorkUnit] = []
-    spans: Dict[Tuple[str, str], Tuple[int, int]] = {}
-    for pair, units in units_of.items():
-        spans[pair] = (len(flat), len(flat) + len(units))
+        units, ids = _pair_units(bench, name, analysis, tokens[name])
+        spans[(name, analysis)] = (len(flat), len(flat) + len(units))
         flat.extend(units)
-    runner = (
-        _run_leased if options.scheduler == "leases" else _run_resilient
-    )
-    flat_results, failed, degraded = runner(
-        flat, config, options, max_workers=max(1, jobs)
+        query_ids.update(ids)
+    flat_results, failed, degraded = _run(
+        flat, config, options, max(1, jobs), query_ids
     )
     wall = time.perf_counter() - started
     _replay_into_parent(flat_results)

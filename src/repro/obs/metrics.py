@@ -50,6 +50,11 @@ __all__ = [
 #: Reads one source object into counters.
 Reader = Callable[[object], CacheCounters]
 
+#: Per-source counters at one moment (:meth:`MetricsRegistry.readings`),
+#: keyed by the id of the source's registration, whose weak reference
+#: the entry keeps alive so the id is not reused.
+Readings = Dict[int, Tuple[weakref.ref, CacheCounters]]
+
 
 def _hits_misses(source: object) -> CacheCounters:
     return CacheCounters(hits=source.hits, misses=source.misses)
@@ -268,8 +273,14 @@ class MetricsRegistry:
                         total += reader(source)
         return total
 
-    def snapshot(self) -> Dict[str, CacheCounters]:
-        """Per-name totals over live sources (dead entries pruned)."""
+    def snapshot(
+        self, since: Optional[Readings] = None
+    ) -> Dict[str, CacheCounters]:
+        """Per-name totals over live sources (dead entries pruned).
+
+        With ``since`` (an earlier :meth:`readings`), a source read then
+        counts only its traffic after that reading: what one task did
+        on caches that outlive it."""
         out: Dict[str, CacheCounters] = {}
         for name, entries in sorted(self._sources.items()):
             live = [(ref, reader) for ref, reader in entries if ref() is not None]
@@ -278,9 +289,27 @@ class MetricsRegistry:
                 total = CacheCounters()
                 for ref, reader in live:
                     source = ref()
-                    if source is not None:
-                        total += reader(source)
+                    if source is None:
+                        continue
+                    counters = reader(source)
+                    earlier = since.get(id(ref)) if since else None
+                    if earlier is not None:
+                        counters = CacheCounters(
+                            hits=counters.hits - earlier[1].hits,
+                            misses=counters.misses - earlier[1].misses,
+                        )
+                    total += counters
                 out[name] = total
+        return out
+
+    def readings(self) -> Readings:
+        """Every live source's counters now, for :meth:`snapshot`."""
+        out: Readings = {}
+        for entries in self._sources.values():
+            for ref, reader in entries:
+                source = ref()
+                if source is not None:
+                    out[id(ref)] = (ref, reader(source))
         return out
 
     def register_instrument(self, instrument):

@@ -15,8 +15,11 @@ string) carrying the *completed CEGAR rounds* of every worker::
 
 A worker publishes each successful round as it finishes (between CEGAR
 rounds, right where the search journal records it); a sibling that
-later re-executes the *same task* — after stealing an expired lease —
-drains matching rounds instead of re-running their forward fixpoints.
+later re-executes the *same task* — a retry, a steal of an expired
+lease, or a task already claimed in a resumed log — drains matching
+rounds instead of re-running their forward fixpoints.  A first attempt
+of a task never reads the bus: nobody can have published for its scope
+yet.
 Crucially, a drained round is **never trusted**: it is replayed
 through :func:`repro.core.tracer.apply_replay`, whose per-survivor
 ``ViabilityStore.add_clauses`` + ``excludes`` probes re-validate every
@@ -32,7 +35,11 @@ the coupling.
 
 Durability discipline matches :mod:`repro.robust.leases`: torn-tail
 tolerant incremental scans, truncate-then-append + fsync under an
-exclusive flock on a sidecar lock file, and a per-record sha256.
+exclusive flock on a sidecar lock file, and a per-record sha256.  The
+append path reads only the file's final bytes — a final line without
+its newline is a dead writer's torn tail and is cut off — and never
+parses or checksums records other workers wrote; a handle reads the
+bus only when a task drains it, from where its previous read ended.
 Publishing is strictly best-effort — any IO error disables the feed
 for the rest of the task rather than failing the evaluation.
 """
@@ -43,7 +50,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.robust.leases import (
     LeaseCorruption,
@@ -78,32 +85,62 @@ def load_bus_records(path: str) -> List[dict]:
     return records
 
 
+#: Bytes read per step when looking back for the last newline.
+_TAIL_BLOCK = 4096
+
+
+def _cut_torn_tail(handle) -> int:
+    """Truncate ``handle``'s file after its last newline; returns the
+    intact length.
+
+    Bytes past the last newline are a writer killed mid-append (the
+    torn-tail rule of :func:`~repro.robust.leases._scan_from`); cutting
+    them keeps the next record from being concatenated onto them.
+    Only the tail is read, and no record is parsed."""
+    size = handle.seek(0, os.SEEK_END)
+    end = size
+    while end:
+        start = max(0, end - _TAIL_BLOCK)
+        handle.seek(start)
+        newline = handle.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            end = start + newline + 1
+            break
+        end = start
+    if end < size:
+        handle.truncate(end)
+    return end
+
+
 class ClauseBus:
     """One process's handle on the shared round log.
 
-    Reads are lock-free incremental scans (torn tails tolerated);
-    writes sync + truncate-torn-tail + append + fsync under the flock,
-    exactly like :class:`repro.robust.leases.LeaseLog`.
+    A worker keeps one handle for all its tasks.  Writes cut a torn
+    tail, append, and fsync under the flock without reading what
+    siblings appended; reads are lock-free incremental scans (torn
+    tails tolerated) from where this handle's previous read ended, so
+    an append never skips rounds the handle has not read yet.
     """
 
     def __init__(self, path: str, worker: str, fresh: bool = False):
         self.path = path
         self.worker = worker
         self._mutex = threading.Lock()
+        #: End of the last record this handle read (appends leave it).
         self._offset = 0
         self._rounds: Dict[Tuple[str, int, Tuple[str, ...]], dict] = {}
+        #: Keys this handle appended, for dedup without reading.
+        self._appended: Set[Tuple[str, int, Tuple[str, ...]]] = set()
         self.published = 0
         self.dropped = 0
         self.disabled = False
         try:
-            with self._mutex, _LeaseLock(path):
-                if fresh and os.path.exists(path):
-                    with open(path, "w"):
-                        pass
-                self._sync_locked()
-                if self._offset == 0:
-                    self._append_locked(
-                        {"type": "bus_header", "version": BUS_VERSION}
+            with self._mutex, _LeaseLock(path), open(path, "a+b") as handle:
+                if fresh:
+                    handle.truncate(0)
+                if _cut_torn_tail(handle) == 0:
+                    self._append(
+                        handle, {"type": "bus_header", "version": BUS_VERSION}
                     )
         except OSError:
             self.disabled = True
@@ -127,25 +164,18 @@ class ClauseBus:
         # later duplicates are identical anyway.
         self._rounds.setdefault(key, record)
 
-    def _sync_locked(self) -> None:
+    def _read(self) -> None:
         records, self._offset = _scan_from(self.path, self._offset)
         for record in records:
             self._ingest(record)
 
-    def _append_locked(self, record: dict) -> None:
+    @staticmethod
+    def _append(handle, record: dict) -> None:
         record = dict(record)
         record["sha256"] = record_checksum(record)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        if size > self._offset:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(self._offset)
-        with open(self.path, "a") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._offset += len(line.encode("utf-8"))
-        self._ingest(record)
+        handle.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
 
     # -- the bus protocol ---------------------------------------------------
 
@@ -153,27 +183,31 @@ class ClauseBus:
         self, scope: str, round_index: int, queries: Sequence[str], record: dict
     ) -> bool:
         """Durably publish one completed round (best-effort: IO errors
-        disable the bus and count as drops, never raise)."""
+        disable the bus and count as drops, never raise).  A round this
+        handle already published or read is not appended again."""
         if self.disabled:
             self.dropped += 1
             return False
+        key = (scope, int(round_index), tuple(queries))
         try:
-            with self._mutex, _LeaseLock(self.path):
-                self._sync_locked()
-                key = (scope, int(round_index), tuple(queries))
-                if key in self._rounds:
+            with self._mutex:
+                if key in self._appended or key in self._rounds:
                     return False
-                self._append_locked(
-                    {
-                        "type": "round",
-                        "scope": scope,
-                        "round": int(round_index),
-                        "queries": list(queries),
-                        "worker": self.worker,
-                        "record": record,
-                        "t": time.time(),
-                    }
-                )
+                with _LeaseLock(self.path), open(self.path, "a+b") as handle:
+                    _cut_torn_tail(handle)
+                    self._append(
+                        handle,
+                        {
+                            "type": "round",
+                            "scope": scope,
+                            "round": int(round_index),
+                            "queries": list(queries),
+                            "worker": self.worker,
+                            "record": record,
+                            "t": time.time(),
+                        },
+                    )
+                self._appended.add(key)
                 self.published += 1
                 return True
         except OSError:
@@ -194,7 +228,7 @@ class ClauseBus:
             return found["record"]
         try:
             with self._mutex:
-                self._sync_locked()
+                self._read()
         except OSError:
             self.disabled = True
             return None
@@ -205,7 +239,7 @@ class ClauseBus:
         """All published round records for a scope, in round order."""
         try:
             with self._mutex:
-                self._sync_locked()
+                self._read()
         except OSError:
             self.disabled = True
         matching = [
@@ -223,17 +257,23 @@ class ClauseFeed:
     means a sibling already finished that exact round for this scope
     and the record can be replayed through the re-validation path —
     and :meth:`publish` after recording each successful round.
+    ``replay=False`` (a task's first attempt, which nobody can have
+    published for) makes :meth:`drain` answer ``None`` without reading
+    the bus.
     """
 
-    def __init__(self, bus: ClauseBus, scope: str):
+    def __init__(self, bus: ClauseBus, scope: str, replay: bool = True):
         self.bus = bus
         self.scope = scope
+        self.replay = replay
         self.imported = 0
         self.published = 0
 
     def drain(
         self, round_index: int, queries: Sequence[str]
     ) -> Optional[dict]:
+        if not self.replay:
+            return None
         record = self.bus.fetch(self.scope, round_index, queries)
         if record is not None:
             self.imported += 1

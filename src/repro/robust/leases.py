@@ -294,13 +294,12 @@ class LeaseLog:
             # record is never concatenated onto it.
             with open(self.path, "r+b") as handle:
                 handle.truncate(self._offset)
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        with open(self.path, "ab") as handle:
+            handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
-        self._offset += len(
-            (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        )
+        self._offset += len(line)
         self._ingest(record)
 
     # -- task-state queries -------------------------------------------------

@@ -47,6 +47,7 @@ that chaos tests use to exercise TTL-based stealing.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import threading
 import time
@@ -66,12 +67,15 @@ from repro.robust.leases import (
 
 __all__ = ["SchedulerResult", "run_leased"]
 
-#: ``execute(task) -> (payload, fingerprint)`` — the pure task body.
-#: ``payload`` must be a JSON-able dict (it is stored in the lease
-#: log); ``fingerprint`` is its semantic checksum (see
-#: :func:`repro.robust.leases.payload_fingerprint`), asserted
-#: bit-identical across duplicate completions.
-ExecuteFn = Callable[[TaskKey], Tuple[dict, str]]
+#: ``execute(task, attempt) -> (payload, fingerprint)`` — the pure
+#: task body.  ``attempt`` is the claim's 1-based attempt number, which
+#: grows over the log's whole life: above 1 the task ran before (a
+#: retry, a steal, or a claim in a resumed log), so it may find work
+#: that attempt left behind.  ``payload`` must be a JSON-able dict (it
+#: is stored in the lease log); ``fingerprint`` is its semantic
+#: checksum (see :func:`repro.robust.leases.payload_fingerprint`),
+#: asserted bit-identical across duplicate completions.
+ExecuteFn = Callable[[TaskKey, int], Tuple[dict, str]]
 
 
 @dataclass
@@ -147,7 +151,7 @@ def _worker_main(
                         while True:  # a livelocked worker: alive, silent
                             time.sleep(60.0)
                     robust_faults.inject("scheduler.task")
-                    payload, fingerprint = execute(claim.task)
+                    payload, fingerprint = execute(claim.task, claim.attempt)
                 log.complete(claim.task, claim.attempt, payload, fingerprint)
             except LeaseConsistencyError:
                 raise  # determinism is broken — die loudly
@@ -175,7 +179,8 @@ def run_leased(
     ``tasks`` is the claim order (workers race for the earliest
     claimable task; the flock serialises the race).  ``execute`` runs
     in the worker and must be a pure function of the task key — fork
-    start method, so closures over parent state work.  ``resume=True``
+    start method, so closures over parent state work, and state a
+    closure keeps lives per worker across its tasks.  ``resume=True``
     keeps an existing lease log and skips its completed tasks;
     otherwise the log is truncated fresh.
 
@@ -228,15 +233,12 @@ def run_leased(
         processes[name] = process
         spawned += 1
 
-    for index in range(workers):
-        spawn(index)
-
     expiries = 0
     steals = 0
     claims = 0
     respawns = 0
     released_leases: Dict[Tuple[TaskKey, int], str] = {}
-    beats: Dict[str, float] = {name: time.time() for name in processes}
+    beats: Dict[str, float] = {}
     reaped: set = set()
     tracing = obs.active()
 
@@ -331,7 +333,15 @@ def run_leased(
                     reason="worker_exit",
                 )
 
+    # Move the parent's heap into the permanent generation before
+    # forking, as the wave pool does: no collection in a worker then
+    # rewrites the GC headers of inherited objects, so their pages stay
+    # shared instead of being copied.
+    gc.freeze()
     try:
+        for index in range(workers):
+            spawn(index)
+        beats.update((name, time.time()) for name in processes)
         while True:
             pump_events()
             release_dead_leases()
@@ -372,6 +382,7 @@ def run_leased(
             if process.is_alive():
                 process.kill()  # hung workers do not get a say
                 process.join(timeout=5.0)
+        gc.unfreeze()
 
     payloads = monitor.completed_payloads()
     failed: Dict[TaskKey, str] = {}

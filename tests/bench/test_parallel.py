@@ -88,6 +88,34 @@ class TestSerialParallelDeterminism:
         assert result.query_count > 0
 
 
+class TestLeaseWorkerCounters:
+    def test_resident_families_count_every_task(self):
+        """A lease worker reuses one client family across its tasks of a
+        ``(benchmark, analysis)`` pair; each task must still report its
+        own traffic on the family's caches.  wp-memo and forward-run
+        lookups do not depend on cache state, so their totals equal the
+        serial eval's; each worker compiles its own dispatch tables, so
+        those lookups can only be more."""
+        small = ("tsp", "elevator", "hedc", "weblech")
+        instances = {name: prepare(name) for name in small}
+        analyses = ("typestate", "escape")
+        serial = evaluate_many(instances, analyses, CONFIG, jobs=1)
+        leased = evaluate_many(instances, analyses, CONFIG, jobs=2)
+        for name in small:
+            for analysis in analyses:
+                expected = serial[name][analysis]
+                got = leased[name][analysis]
+                where = f"{name} {analysis}"
+                assert got.wp_cache.total == expected.wp_cache.total, where
+                assert (
+                    got.forward_hits + got.forward_misses
+                    == expected.forward_hits + expected.forward_misses
+                ), where
+                assert (
+                    got.dispatch_cache.total >= expected.dispatch_cache.total
+                ), where
+
+
 class TestRenderedOutputDeterminism:
     def test_tables_and_figure_identical_after_time_normalisation(
         self, instances

@@ -62,6 +62,22 @@ class TestRegistry:
         )
         assert registry.snapshot()["odd"] == CacheCounters(4, 2)
 
+    def test_snapshot_since_counts_traffic_after_the_reading(self):
+        registry = MetricsRegistry()
+        kept, dropped = FakeCache(hits=5, misses=2), FakeCache(hits=7)
+        registry.register("dispatch", kept)
+        registry.register("forward_run", dropped)
+        since = registry.readings()
+        kept.hits += 3
+        late = FakeCache(hits=1, misses=1)  # registered after the reading
+        registry.register("dispatch", late)
+        del dropped  # collected after the reading: counts nothing
+        gc.collect()
+        assert registry.snapshot(since) == {
+            "dispatch": CacheCounters(hits=4, misses=1)
+        }
+        assert registry.snapshot()["dispatch"] == CacheCounters(9, 3)
+
 
 FakeCache_keepalive = [FakeCache(1, 10), FakeCache(2, 20), FakeCache(4, 40)]
 

@@ -10,9 +10,11 @@ semantics: heartbeat-based liveness, steal vs retry, first-completion
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.robust import clausebus
 from repro.robust.clausebus import BUS_VERSION, ClauseBus, ClauseFeed, load_bus_records
 from repro.robust.leases import (
     LeaseConsistencyError,
@@ -93,7 +95,7 @@ class TestLeaseLogLifecycle:
     def test_interior_corruption_raises(self, tmp_path):
         log = _log(tmp_path)
         log.heartbeat(now=1.0)
-        lines = open(log.path).read().splitlines()
+        lines = Path(log.path).read_text().splitlines()
         lines[0] = "not json"
         with open(log.path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -103,7 +105,7 @@ class TestLeaseLogLifecycle:
     def test_checksum_mismatch_raises(self, tmp_path):
         log = _log(tmp_path)
         log.heartbeat(now=1.0)
-        lines = open(log.path).read().splitlines()
+        lines = Path(log.path).read_text().splitlines()
         beat = json.loads(lines[-1])
         beat["t"] = 99.0  # tampered field, stale checksum
         lines[-1] = json.dumps(beat, sort_keys=True)
@@ -266,11 +268,44 @@ class TestClauseBus:
             "bus_header", "round", "round",
         ]
 
+    def test_append_keeps_the_read_offset_before_unread_rounds(self, tmp_path):
+        path = str(tmp_path / "run.bus")
+        a = ClauseBus(path, worker="a")
+        for round_index in (1, 2):
+            a.publish("S", round_index, ["q"], {"round": round_index})
+        b = ClauseBus(path, worker="b")
+        # b appends past a's rounds without reading them; a later drain
+        # on b must still start where b's last read ended.
+        assert b.publish("T", 1, ["q"], {"round": 1}) is True
+        assert b.fetch("S", 1, ["q"]) == {"round": 1}
+        assert b.fetch("S", 2, ["q"]) == {"round": 2}
+        assert b.fetch("T", 1, ["q"]) == {"round": 1}
+
+    def test_publish_parses_no_sibling_record(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "run.bus")
+        a = ClauseBus(path, worker="a")
+        b = ClauseBus(path, worker="b")
+        ingested = []
+        monkeypatch.setattr(b, "_ingest", ingested.append)
+
+        def no_scan(*_args):
+            raise AssertionError("the append path scanned the bus")
+
+        monkeypatch.setattr(clausebus, "_scan_from", no_scan)
+        for round_index in range(20):
+            assert a.publish("S", round_index, ["q"], {"round": round_index})
+            assert b.publish("T", round_index, ["q"], {"round": round_index})
+        # Dedup within one handle needs no read either.
+        assert b.publish("T", 3, ["q"], {"round": 3}) is False
+        assert ingested == []
+        monkeypatch.undo()
+        assert len(load_bus_records(path)) == 41
+
     def test_interior_corruption_raises(self, tmp_path):
         path = str(tmp_path / "run.bus")
         bus = ClauseBus(path, worker="w1")
         bus.publish("s", 1, ["q"], {"round": 1})
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[0] = "garbage"
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -281,7 +316,7 @@ class TestClauseBus:
         path = str(tmp_path / "run.bus")
         bus = ClauseBus(path, worker="w1")
         bus.publish("s", 1, ["q"], {"round": 1})
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         entry = json.loads(lines[-1])
         entry["worker"] = "forged"
         lines[-1] = json.dumps(entry, sort_keys=True)

@@ -23,7 +23,7 @@ from repro.robust.scheduler import run_leased
 TASKS = [("bench", "typestate", 0, gi) for gi in range(4)]
 
 
-def _ok(task):
+def _ok(task, attempt=1):
     payload = {"task": list(task), "value": task[3] * 10}
     return payload, f"fp-{task[3]}"
 
@@ -108,7 +108,7 @@ class TestRunLeased:
 
         marker = tmp_path / "executed"
 
-        def poisoned(task):
+        def poisoned(task, attempt):
             # Any execution on resume is a durability bug; leave
             # forensic evidence (workers are forked processes).
             with open(marker, "a") as handle:
@@ -128,7 +128,7 @@ class TestRunLeased:
         lease_path = _lease_path(tmp_path)
         flaky = TASKS[2]
 
-        def fails_one(task):
+        def fails_one(task, attempt):
             if task == flaky:
                 raise RuntimeError("injected: group keeps failing")
             return _ok(task)
@@ -143,7 +143,7 @@ class TestRunLeased:
 
         executed = tmp_path / "resumed-executions"
 
-        def recovered(task):
+        def recovered(task, attempt):
             with open(executed, "a") as handle:
                 handle.write(json.dumps(list(task)) + "\n")
             return _ok(task)
@@ -174,6 +174,69 @@ class TestRunLeased:
         log.complete(claim.task, claim.attempt, {"v": 1}, "fp-a")
         with pytest.raises(LeaseConsistencyError):
             log.complete(claim.task, claim.attempt, {"v": 2}, "fp-b")
+
+
+class TestAttemptGatedBusReads:
+    def test_only_re_executions_read_the_bus(self, tmp_path, monkeypatch):
+        """The first attempt of tsp's escape unit publishes its rounds
+        and then raises: a ``corrupt`` match at the ``unit`` site drops
+        a record, which the unit's integrity check turns into an error
+        after the search (a ``raise`` there would fire before any
+        round).  The retry, attempt 2, imports those rounds, and no
+        first attempt reads the bus."""
+        from repro.bench.harness import evaluate_benchmark, prepare
+        from repro.bench.parallel import RunOptions, evaluate_benchmark_parallel
+        from repro.core.tracer import TracerConfig
+        from repro.robust import faults
+        from repro.robust.clausebus import ClauseBus, load_bus_records
+
+        fetches = tmp_path / "fetches"
+        fetch = ClauseBus.fetch
+
+        def spy(bus, scope, round_index, queries):
+            # Workers are forked: leave the evidence in a file.
+            found = fetch(bus, scope, round_index, queries)
+            with open(fetches, "a") as handle:
+                handle.write(
+                    json.dumps([faults._CURRENT.attempt, found is not None])
+                    + "\n"
+                )
+            return found
+
+        monkeypatch.setattr(ClauseBus, "fetch", spy)
+        config = TracerConfig(k=5, max_iterations=30)
+        bench = prepare("tsp")
+        lease_path = str(tmp_path / "run.leases")
+        options = RunOptions(
+            fault_plan=FaultPlan.from_specs(["unit:corrupt:attempt=0"]),
+            lease_path=lease_path,
+        )
+        leased = evaluate_benchmark_parallel(
+            bench, "escape", config, jobs=2, options=options
+        )
+        serial = evaluate_benchmark(bench, "escape", config)
+
+        assert leased.failed_units == ()
+        assert leased.degraded  # the unit was retried
+        assert [
+            dict(record_to_dict(record), time_seconds=0.0)
+            for record in leased.records
+        ] == [
+            dict(record_to_dict(record), time_seconds=0.0)
+            for record in serial.records
+        ]
+        published = [
+            record
+            for record in load_bus_records(lease_path + ".bus")
+            if record["type"] == "round"
+        ]
+        assert published  # the failed first attempt published rounds
+        reads = [
+            json.loads(line) for line in fetches.read_text().splitlines()
+        ]
+        # Fault attempts are 0-based: 1 is the claim's attempt 2.
+        assert {attempt for attempt, _found in reads} == {1}
+        assert sum(found for _attempt, found in reads) == len(published)
 
 
 def _record(query_id: str, n: int) -> QueryRecord:
