@@ -652,22 +652,38 @@ class CubeUniverse:
         cubes: Sequence[int],
         factors: Dict[int, Dict[int, Info]],
         max_cubes: Optional[int],
-    ) -> Dict[int, Info]:
-        """The DNF of ``cubes`` with every literal ``bit`` replaced by the
-        DNF ``factors[bit]``, each cube's factors multiplied in literal
-        sort-key order; ``max_cubes`` bounds every live DNF."""
+    ) -> Tuple[Dict[int, Info], int]:
+        """The DNF of ``cubes`` with every literal ``bit`` of ``factors``
+        replaced by the DNF ``factors[bit]``, and the largest number of
+        cubes live in it at any point.
+
+        Each cube starts from its other literals, normalised, and
+        multiplies its factors in literal sort-key order.  Conjoining a
+        single cube never grows a DNF, so no live count here exceeds
+        the one of multiplying in every literal.  Raises
+        :class:`FormulaExplosion` as soon as a live DNF exceeds
+        ``max_cubes``."""
         ranks = self._rank()
+        replaced = 0
+        for bit in factors:
+            replaced |= 1 << bit
         out: Dict[int, Info] = {}
+        peak = 0
         for cube in cubes:
-            acc: Dict[int, Info] = {0: _TRUE_INFO}
-            for bit in sorted(mask_bits(cube), key=ranks.__getitem__):
+            rest = self.normalize(cube & ~replaced)
+            if rest is None:
+                continue
+            acc: Dict[int, Info] = {rest: self.info(rest)}
+            for bit in sorted(mask_bits(cube & replaced), key=ranks.__getitem__):
                 acc = self.conjoin(acc, factors[bit])
+                peak = max(peak, len(acc))
                 _check_budget(len(acc), max_cubes)
                 if not acc:
                     break
             out.update(acc)
+            peak = max(peak, len(out))
             _check_budget(len(out), max_cubes)
-        return out
+        return out, peak
 
     def _cube_key(self) -> Callable[[int], Tuple]:
         """A sort key on masks ordering them as :func:`cube_sort_key`

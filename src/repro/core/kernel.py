@@ -70,7 +70,7 @@ from repro.core.semantics import (
     _identity_step,
 )
 from repro.dataflow.bitset import BOOL, KernelFallback, StateCodec
-from repro.dataflow.collecting import CollectingResult
+from repro.dataflow.collecting import CollectingResult, WitnessTrace
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs
 from repro.robust import budget as robust_budget
@@ -594,15 +594,18 @@ class KernelResult:
                     out.append((edge.src, state))
         return tuple(out)
 
-    def trace_to(self, node: int, state: object):
+    def trace_to(self, node: int, state: object) -> WitnessTrace:
         """Witness trace for a decoded state: re-encode via the node
         table (``KeyError`` when never derived, like the interpreted
-        result) and walk the packed witness links."""
+        result), walk the packed witness links, and decode the state
+        before each command."""
         shift = self._cache["shift"]
         mask = self._cache["mask"]
+        decode = self.codec.decode
         bits = self._node_table(node)[state]
         seen = self._seen
         commands: List[object] = []
+        states = [state]
         key = bits << shift | node
         while True:
             pred = seen[key]
@@ -613,9 +616,11 @@ class KernelResult:
             edge = self._witness_edge(pred_node, pred_bits, key & mask, key >> shift)
             if edge.command is not None:
                 commands.append(edge.command)
+                states.append(decode(pred_bits))
             key = pred
         commands.reverse()
-        return tuple(commands)
+        states.reverse()
+        return WitnessTrace(commands, tuple(states))
 
     def materialize(self) -> CollectingResult:
         """Eagerly decode everything into a plain

@@ -25,20 +25,23 @@ under-approximation" mode of Figure 6(a)).
 :func:`backward_trace` runs its steps on the theory's interned
 bit-mask cubes (:class:`~repro.core.formula.CubeUniverse`), with each
 ``wp(prim)`` and ``not wp(prim)`` lowered to a mask DNF once per
-(table key, literal) beside the wp memo.  Sibling metas over one
-theory may share the memo (:meth:`BackwardMetaAnalysis.share_wp_memo`).
+(table key, literal) beside the wp memo, and each command's sorted,
+simplified cube product kept there per input condition
+(:meth:`BackwardMetaAnalysis.wp_step`).  Sibling metas over one theory
+may share the memo (:meth:`BackwardMetaAnalysis.share_wp_memo`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.core.formula import (
     CubeUniverse,
     Dnf,
     Formula,
-    FormulaExplosion,
     Info,
     Theory,
     drop_k,
@@ -49,6 +52,7 @@ from repro.core.formula import (
     neg,
     simplify,
     to_dnf,
+    _check_budget,
 )
 from repro.core.lru import LruCache
 from repro.core.parametric import ParametricAnalysis
@@ -59,6 +63,10 @@ from repro.robust import budget as robust_budget
 #: Default bound on the cubes live at any point of one backward pass,
 #: shared with ``TracerConfig.max_cubes``.
 MAX_CUBES = 200_000
+
+#: Bound on the cube products one wp memo entry keeps; past it the
+#: entry's products are cleared.
+PRODUCTS_PER_COMMAND = 256
 
 
 def _wp_counters(meta: "BackwardMetaAnalysis"):
@@ -97,6 +105,11 @@ class BackwardMetaAnalysis:
     #: ``table_key`` -> :class:`_CommandWp`; created on first use unless
     #: :meth:`share_wp_memo` installed a sibling's.
     _wp_cache: Optional[LruCache] = None
+    #: ``id(command)`` -> ``(command, entry)``: each command object's wp
+    #: memo entry, found without ``table_key`` or the LRU.  Holding the
+    #: command keeps its ``id`` from being recycled; cleared past
+    #: ``WP_CACHE_SIZE`` commands.
+    _by_command: Optional[Dict[int, Tuple[AtomicCommand, "_CommandWp"]]] = None
     #: Whether the memo counters are registered; once per meta, also
     #: when the memo itself is shared.
     _wp_registered: bool = False
@@ -118,6 +131,7 @@ class BackwardMetaAnalysis:
         if sibling._wp_cache is None:
             sibling._wp_cache = LruCache(sibling.WP_CACHE_SIZE)
         self._wp_cache = sibling._wp_cache
+        self._by_command = None
 
     def wp_cached(self, command: AtomicCommand, prim) -> Formula:
         """Memoised :meth:`wp_primitive` — the same (command, primitive)
@@ -128,47 +142,129 @@ class BackwardMetaAnalysis:
         self, command: AtomicCommand, literals: int, max_cubes: Optional[int]
     ) -> Optional[Dict[int, Dict[int, Info]]]:
         """The weakest preconditions of the literals in the mask
-        ``literals``, as mask DNFs by bit: ``wp(prim)`` for a positive
-        literal, ``not wp(prim)`` for a negative one.  ``None`` when
-        ``command`` leaves every one of those literals unchanged.
+        ``literals`` that ``command`` changes, as mask DNFs by bit:
+        ``wp(prim)`` for a positive literal, ``not wp(prim)`` for a
+        negative one.  ``None`` when ``command`` leaves every one of
+        those literals unchanged (each maps to itself).
 
         Each literal is lowered once per table key, into the key's
         wp memo entry, which also keeps the peak cube count of the
         conversion: a literal whose peak exceeds ``max_cubes`` raises
         :class:`FormulaExplosion`."""
-        record = self._wp_record(command)
-        universe = self.theory.universe()
-        missing = literals & ~record.lowered
-        for bit in mask_bits(missing):
-            literal = universe.literals[bit]
-            formula = self._wp_formula(record, command, literal.prim)
-            pre = formula if literal.positive else neg(formula)
-            factor, peak = universe.dnf(pre, max_cubes)
-            record.lowered |= 1 << bit
-            # Only the literals the command changes keep a DNF: the rest
-            # map to themselves.
-            if len(factor) != 1 or (1 << bit) not in factor:
-                record.factors[bit] = (factor, peak)
-                record.changed |= 1 << bit
-        self.wp_hits += bin(literals & ~missing).count("1")
-        changed = literals & record.changed
+        record = self._command_wp(command)
+        changed = self._lowered(record, command, literals, max_cubes)
         if not changed:
             return None
+        self._refresh(record)
+        factors, peak = self._factors(record, changed)
+        _check_budget(peak, max_cubes)
+        return factors
+
+    def wp_step(
+        self,
+        command: AtomicCommand,
+        cubes: Tuple[int, ...],
+        literals: int,
+        max_cubes: Optional[int],
+    ) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """The weakest precondition under ``command`` of the mask DNF
+        ``cubes``, whose literals are the mask ``literals``: its cubes
+        sorted and simplified, and the number ``simplify`` dropped.
+        ``None`` when ``command`` changes none of ``literals``, which
+        costs two mask tests once they are lowered.
+
+        The result is kept in ``command``'s wp memo entry, keyed by
+        ``cubes``, with the largest number of cubes live while it was
+        computed (the lowered factors' peaks included): a kept result
+        whose peak exceeds ``max_cubes`` raises
+        :class:`FormulaExplosion`, as computing it again would."""
+        record = self._command_wp(command)
+        changed = self._lowered(record, command, literals, max_cubes)
+        if not changed:
+            return None
+        universe = self._refresh(record)
+        product = record.products.get(cubes)
+        if product is None:
+            factors, peak = self._factors(record, changed)
+            _check_budget(peak, max_cubes)
+            pre, live = universe.substitute(cubes, factors, max_cubes)
+            ordered = universe.sort(pre)
+            kept = universe.simplify(ordered, pre)
+            product = (tuple(kept), len(ordered) - len(kept), max(peak, live))
+            if len(record.products) >= PRODUCTS_PER_COMMAND:
+                record.products = {}
+            record.products[cubes] = product
+        else:
+            _check_budget(product[2], max_cubes)
+        return product[0], product[1]
+
+    def _command_wp(self, command: AtomicCommand) -> "_CommandWp":
+        """``command``'s wp memo entry, by identity when seen before."""
+        by_command = self._by_command
+        if by_command is None:
+            by_command = self._by_command = {}
+        known = by_command.get(id(command))
+        if known is not None and known[0] is command:
+            return known[1]
+        record = self._wp_record(command)
+        if len(by_command) >= self.WP_CACHE_SIZE:
+            by_command.clear()
+        by_command[id(command)] = (command, record)
+        return record
+
+    def _lowered(
+        self,
+        record: "_CommandWp",
+        command: AtomicCommand,
+        literals: int,
+        max_cubes: Optional[int],
+    ) -> int:
+        """Lower the literals of ``literals`` that ``record`` lacks,
+        count a memo hit for each of the others, and return those
+        among ``literals`` that ``command`` changes."""
+        missing = literals & ~record.lowered
+        if missing:
+            universe = self.theory.universe()
+            for bit in mask_bits(missing):
+                literal = universe.literals[bit]
+                formula = self._wp_formula(record, command, literal.prim)
+                pre = formula if literal.positive else neg(formula)
+                factor, peak = universe.dnf(pre, max_cubes)
+                record.lowered |= 1 << bit
+                # Only the literals the command changes keep a DNF: the
+                # rest map to themselves.
+                if len(factor) != 1 or (1 << bit) not in factor:
+                    record.factors[bit] = (factor, peak)
+                    record.changed |= 1 << bit
+        self.wp_hits += bin(literals ^ missing).count("1")
+        return literals & record.changed
+
+    def _refresh(self, record: "_CommandWp") -> CubeUniverse:
+        """Bring ``record`` up to the universe's epoch: recompute its
+        factors' Info and drop its products.  Returns the universe."""
+        universe = self.theory.universe()
         if record.epoch != universe.epoch:
             record.factors = {
                 bit: ({mask: universe.info(mask) for mask in factor}, peak)
                 for bit, (factor, peak) in record.factors.items()
             }
+            record.products = {}
             record.epoch = universe.epoch
-        factors = {bit: universe.unit(bit) for bit in mask_bits(literals & ~changed)}
+        return universe
+
+    @staticmethod
+    def _factors(
+        record: "_CommandWp", changed: int
+    ) -> Tuple[Dict[int, Dict[int, Info]], int]:
+        """The lowered DNFs of the literals ``changed``, and the largest
+        peak among their conversions."""
+        factors = {}
+        peak = 0
         for bit in mask_bits(changed):
-            factor, peak = record.factors[bit]
-            if max_cubes is not None and peak > max_cubes:
-                raise FormulaExplosion(
-                    f"DNF conversion produced {peak} cubes (budget {max_cubes})"
-                )
+            factor, lowered_peak = record.factors[bit]
             factors[bit] = factor
-        return factors
+            peak = max(peak, lowered_peak)
+        return factors, peak
 
     def _wp_record(self, command: AtomicCommand) -> "_CommandWp":
         if not self._wp_registered:
@@ -198,10 +294,11 @@ class BackwardMetaAnalysis:
 
 class _CommandWp:
     """The wp memo entry of one command: each primitive's wp formula,
-    and the lowered mask DNF, with the peak cube count of its
-    conversion, of each literal the command changes."""
+    the lowered mask DNF, with the peak cube count of its conversion,
+    of each literal the command changes, and the cube products of
+    :meth:`BackwardMetaAnalysis.wp_step`."""
 
-    __slots__ = ("formulas", "factors", "lowered", "changed", "epoch")
+    __slots__ = ("formulas", "factors", "lowered", "changed", "products", "epoch")
 
     def __init__(self):
         self.formulas: Dict[object, Formula] = {}
@@ -212,8 +309,13 @@ class _CommandWp:
         #: which alone have ``factors``).
         self.lowered = 0
         self.changed = 0
-        #: The universe epoch the ``factors``' Info was computed in.
+        #: input cubes -> (sorted simplified product, subsumption
+        #: drops, peak live cubes); at most ``PRODUCTS_PER_COMMAND``.
+        self.products: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int, int]] = {}
+        #: The universe epoch the ``factors``' Info and the
+        #: ``products`` were computed in.
         self.epoch = 0
+
 
 
 @dataclass
@@ -267,23 +369,17 @@ def approx(
     return pruned
 
 
-def _approx_masks(
-    universe: CubeUniverse,
-    pre: Dict[int, Info],
-    p: object,
-    d: object,
-    k: Optional[int],
-    stats: dict,
-) -> Tuple[int, ...]:
-    """:func:`approx` on the mask DNF ``pre``: sort, simplify, beam-prune."""
-    ordered = universe.sort(pre)
-    kept = universe.simplify(ordered, pre)
-    stats["subsumption_drops"] += len(ordered) - len(kept)
-    if k is not None:
-        pruned = drop_k_cubes(kept, k, universe.evaluator(p, d))
-        stats["beam_prunes"] += len(kept) - len(pruned)
-        kept = pruned
-    return tuple(kept)
+def forward_states(
+    analysis: ParametricAnalysis, trace: Trace, p: object, d_init: object
+) -> Tuple[object, ...]:
+    """The forward states ``d0 .. dn`` along ``trace`` from ``d_init``:
+    the ones a witness trace carries
+    (:class:`~repro.dataflow.collecting.WitnessTrace`), else replayed
+    through ``analysis.trace_states``."""
+    states = getattr(trace, "states", None)
+    if states is None:
+        states = analysis.trace_states(trace, p, d_init)
+    return states
 
 
 def backward_trace(
@@ -299,18 +395,23 @@ def backward_trace(
     """Run ``B[t](p, d_init, post)`` (Figure 7).
 
     ``post`` is the failure condition at the end of the trace,
-    typically ``not(q)``.  The forward states along the trace are
-    replayed first (``B[t ; t'](p, d, f) = B[t](p, d, B[t'](p,
-    Fp[t](d), f))`` threads them through), then the weakest
-    precondition is folded backwards with ``approx`` applied at every
-    step.  ``max_cubes`` bounds the cubes live at any point of a step's
-    DNF conversion (``None``: no bound).
+    typically ``not(q)``.  ``B[t ; t'](p, d, f) = B[t](p, d, B[t'](p,
+    Fp[t](d), f))`` threads the forward states along the trace through
+    the fold: a witness trace from the forward run of ``p`` from
+    ``d_init`` carries them (:func:`forward_states`), and a bare tuple
+    of commands has them replayed.  The weakest precondition is then
+    folded backwards with ``approx`` applied at every step.
+    ``max_cubes`` bounds the cubes live at any point of a step's DNF
+    conversion (``None``: no bound).
 
-    The steps run on the theory's :class:`CubeUniverse`: each replaces
-    the literals of the current condition by their memoised mask DNFs
-    (:meth:`BackwardMetaAnalysis.wp_factors`), multiplies them out, and
-    simplifies and beam-prunes the masks.  The conditions are lifted
-    back to :class:`Dnf` values when the pass ends.
+    The steps run on the theory's :class:`CubeUniverse`.  A step whose
+    command changes none of the current condition's literals leaves it
+    as it is, which ``approx`` would too.  Any other step replaces the
+    changed literals by their memoised mask DNFs and multiplies them
+    out, sorted and simplified, once per (command, condition)
+    (:meth:`BackwardMetaAnalysis.wp_step`); ``drop_k`` then prunes the
+    result at this step's ``(p, d)``.  The conditions are lifted back
+    to :class:`Dnf` values when the pass ends.
 
     Precondition (checked): ``(p, Fp[t](d_init))`` satisfies ``post`` —
     the trace really is a counterexample.  Guarantee (Theorem 3): the
@@ -318,7 +419,7 @@ def backward_trace(
     """
     theory = meta.theory
     universe = theory.universe()
-    states = analysis.trace_states(trace, p, d_init)
+    states = forward_states(analysis, trace, p, d_init)
     stats = {"subsumption_drops": 0, "beam_prunes": 0}
     final = to_dnf(post, theory, max_cubes)
     final = approx(final, theory, p, states[-1], k, stats)
@@ -331,21 +432,24 @@ def backward_trace(
     lifted = {current: final}
     steps = [current]
     max_disjuncts = len(current)
+    literals = reduce(or_, current, 0)
     for index in range(len(trace) - 1, -1, -1):
         # One backward command can hide a lot of formula work, so the
         # cooperative budget check here always consults the clock.
         robust_budget.checkpoint()
-        command = trace[index]
-        union = 0
-        for cube in current:
-            union |= cube
-        factors = meta.wp_factors(command, union, max_cubes)
+        step = meta.wp_step(trace[index], current, literals, max_cubes)
         # ``None`` is the fast path: the command leaves every tracked
         # literal unchanged (the common case on long traces), so the
         # weakest precondition is the condition itself.
-        if factors is not None:
-            pre = universe.substitute(current, factors, max_cubes)
-            current = _approx_masks(universe, pre, p, states[index], k, stats)
+        if step is not None:
+            kept, drops = step
+            stats["subsumption_drops"] += drops
+            if k is not None:
+                pruned = drop_k_cubes(kept, k, universe.evaluator(p, states[index]))
+                stats["beam_prunes"] += len(kept) - len(pruned)
+                kept = tuple(pruned)
+            current = kept
+            literals = reduce(or_, current, 0)
             max_disjuncts = max(max_disjuncts, len(current))
         steps.append(current)
     intermediate = []

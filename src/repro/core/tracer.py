@@ -48,7 +48,12 @@ from typing import (
 )
 
 from repro.core.formula import Formula, FormulaExplosion, evaluate
-from repro.core.meta import MAX_CUBES, BackwardMetaAnalysis, backward_trace
+from repro.core.meta import (
+    MAX_CUBES,
+    BackwardMetaAnalysis,
+    backward_trace,
+    forward_states,
+)
 from repro.core.parametric import ParametricAnalysis
 from repro.core.stats import QueryRecord, QueryStatus
 from repro.core.viability import ParamTheory, ViabilityStore
@@ -1320,8 +1325,8 @@ def run_query_group(
                                     clauses=len(added),
                                 )
                             if obs.detail_enabled():
-                                states = client.analysis.trace_states(
-                                    trace, p, d_init
+                                states = forward_states(
+                                    client.analysis, trace, p, d_init
                                 )
                                 obs.event(
                                     "iteration_detail",

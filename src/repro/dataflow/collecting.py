@@ -12,7 +12,9 @@ every reachable ``(node, state)`` pair is produced by some loop-free
 derivation, and following witness links backwards yields a concrete
 *abstract counterexample trace* — a straight-line sequence of atomic
 commands ``t`` with ``Fp[t](dI) = state`` — exactly what the backward
-meta-analysis consumes.
+meta-analysis consumes.  The links also hold the state before each
+command, so the trace comes with its forward states
+(:class:`WitnessTrace`) and the meta-analysis need not replay them.
 """
 
 from __future__ import annotations
@@ -21,12 +23,30 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.lang.ast import AtomicCommand, Trace
+from repro.lang.ast import AtomicCommand
 from repro.lang.cfg import Cfg, CfgEdge
 from repro.robust import budget as robust_budget
 
 Step = Callable[[AtomicCommand, object], object]
 _Witness = Optional[Tuple[int, object, CfgEdge]]
+
+
+class WitnessTrace(tuple):
+    """A witness trace: the tuple of atomic commands ``trace_to``
+    returns, carrying the forward states along it as ``states`` —
+    ``states[i]`` holds before command ``i`` and ``states[-1]`` is the
+    state the witness derives, so ``states`` equals
+    ``analysis.trace_states(trace, p, entry_state)`` for the run's
+    ``p``.  It compares, hashes and serialises like the plain tuple of
+    its commands."""
+
+    def __new__(cls, commands, states: Tuple[object, ...]):
+        trace = super().__new__(cls, commands)
+        trace.states = states
+        return trace
+
+    def __reduce__(self):
+        return WitnessTrace, (tuple(self), self.states)
 
 
 def resolve_step(step: Step) -> Callable[[AtomicCommand], Callable]:
@@ -85,11 +105,14 @@ class CollectingResult:
                     out.append((edge.src, state))
         return tuple(out)
 
-    def trace_to(self, node: int, state: object) -> Trace:
+    def trace_to(self, node: int, state: object) -> WitnessTrace:
         """The witness trace deriving ``state`` at ``node`` from the
         entry state: a sequence of atomic commands (epsilon edges are
-        dropped).  Raises ``KeyError`` if the pair was never derived."""
+        dropped), with the state before each command taken from the
+        witness links.  Raises ``KeyError`` if the pair was never
+        derived."""
         commands: List[AtomicCommand] = []
+        states = [state]
         current: Tuple[int, object] = (node, state)
         while True:
             witness = self.states[current[0]][current[1]]
@@ -98,9 +121,11 @@ class CollectingResult:
             pred_node, pred_state, edge = witness
             if edge.command is not None:
                 commands.append(edge.command)
+                states.append(pred_state)
             current = (pred_node, pred_state)
         commands.reverse()
-        return tuple(commands)
+        states.reverse()
+        return WitnessTrace(commands, tuple(states))
 
 
 def run_collecting(

@@ -154,3 +154,73 @@ class TestWpCache:
         for mask, info in again[err].items():
             assert info == universe.info(mask)
         assert any(again[err][mask] != first[err][mask] for mask in first[err])
+
+
+class TestProductMemo:
+    """Each command's wp memo entry keeps its cube products, keyed by
+    the step's input cubes, with the peak live-cube count of computing
+    them; a kept product must behave as computing it again would."""
+
+    #: A pass whose largest product peak (4) exceeds both its lowered
+    #: factors' peaks (3) and its post-condition's cube count (2).
+    SEED, LENGTH, ALLOWED = 29, 10, frozenset({"opened"})
+
+    def _client(self):
+        program = random_typestate_program(random.Random(self.SEED), self.LENGTH)
+        return TypestateClient(program, file_automaton(), "h1", frozenset(VARS))
+
+    def _run(self, client, max_cubes, k=None):
+        from repro.typestate import TypestateQuery
+
+        query = TypestateQuery("q", self.ALLOWED)
+        trace = client.counterexamples([query], frozenset())[query]
+        return backward_trace(
+            client.meta,
+            client.analysis,
+            trace,
+            frozenset(),
+            client.analysis.initial_state(),
+            client.fail_condition(query),
+            k=k,
+            max_cubes=max_cubes,
+        )
+
+    @staticmethod
+    def _records(meta):
+        return [record for _command, record in meta._by_command.values()]
+
+    def test_kept_peak_rechecked_against_max_cubes(self):
+        from repro.core.formula import FormulaExplosion
+
+        warm = self._client()
+        unbounded = self._run(warm, None)
+        records = self._records(warm.meta)
+        peak = max(p[2] for r in records for p in r.products.values())
+        assert peak > max(fp for r in records for _f, fp in r.factors.values())
+        assert peak - 1 >= len(unbounded.intermediate[-1].cubes)
+        # Filled with no bound, the memo must still refuse a bound below
+        # a kept product's peak, exactly as a cold meta does.
+        with pytest.raises(FormulaExplosion):
+            self._run(warm, peak - 1)
+        with pytest.raises(FormulaExplosion):
+            self._run(self._client(), peak - 1)
+        assert self._run(warm, peak) == unbounded
+        assert self._run(self._client(), peak) == unbounded
+
+    def test_warm_pass_after_epoch_bump_equals_cold(self):
+        from repro.core.formula import Literal
+        from repro.typestate.meta import TsVar
+
+        warm = self._client()
+        for k in (1, None):
+            self._run(warm, None, k)
+        assert any(record.products for record in self._records(warm.meta))
+        universe = warm.meta.theory.universe()
+        epoch = universe.epoch
+        universe.bit_of(Literal(TsVar("fresh"), True))  # err excludes var(fresh)
+        assert universe.epoch > epoch
+        for k in (1, None):
+            assert self._run(warm, None, k) == self._run(self._client(), None, k)
+        for record in self._records(warm.meta):
+            if record.products:
+                assert record.epoch == universe.epoch
