@@ -24,7 +24,10 @@ kernel::
         --engines interpreted,compiled --benchmarks smoke
 
 ``--benchmarks all`` extends the sweep to the full seven-benchmark
-paper suite (slower; the CI job runs the smoke scope).
+paper suite (the CI job runs it).  A ``compiled`` workload that ran
+no kernel step, or an ``interpreted`` one that ran some, fails the
+check: a client without a codec stays interpreted silently, and the
+comparison would then pass without comparing anything.
 """
 
 from __future__ import annotations
@@ -139,14 +142,27 @@ def provenance_setup(bench):
     return client, queries
 
 
+def kernel_steps(metrics):
+    """Compiled-kernel steps a run looked up or lowered: the hits plus
+    misses of its ``kernel.<client>`` counters."""
+    return sum(
+        counters.hits + counters.misses
+        for name, counters in metrics.items()
+        if name.startswith("kernel.")
+    )
+
+
 def engine_dump(engine, benchmarks):
     """Verdicts, digests, and certificates of every workload under one
-    forward engine — the unit of the cross-engine identity check."""
+    forward engine — the unit of the cross-engine identity check — and
+    the kernel steps each workload ran (a client without a codec
+    silently stays interpreted, so the check must see them)."""
     from repro.bench.parallel import RunOptions
     from repro.robust.certify import CertificateStore
 
     config = TracerConfig(k=5, max_iterations=30, engine=engine)
     out = {}
+    steps = {}
     for name in benchmarks:
         bench = prepare(name)
         for analysis in ANALYSES:
@@ -157,6 +173,7 @@ def engine_dump(engine, benchmarks):
                 "records": [_record(r) for r in result.records],
                 "certificates": result.certificates,
             }
+            steps[f"{name}/{analysis}"] = kernel_steps(result.metrics)
         client, queries = provenance_setup(bench)
         store = CertificateStore()
         solved = Tracer(client, config, certificates=store).solve_all(queries)
@@ -164,7 +181,20 @@ def engine_dump(engine, benchmarks):
             "records": [_record(solved[q]) for q in queries],
             "certificates": store.certificates,
         }
-    return out
+        kernel = getattr(client, "_kernel_engine", None) or None
+        steps[f"{name}/provenance"] = (
+            kernel.hits + kernel.misses if kernel is not None else 0
+        )
+    return out, steps
+
+
+def vacuous_workloads(engine, steps):
+    """Workloads whose kernel use contradicts ``engine``: a compiled
+    run that ran no kernel step compared nothing, and an interpreted
+    one that ran some was not the oracle."""
+    if engine == "compiled":
+        return sorted(key for key, count in steps.items() if not count)
+    return sorted(key for key, count in steps.items() if count)
 
 
 def _first_divergence(path, a, b):
@@ -186,14 +216,19 @@ def compare_engines(engines, benchmarks):
     """Evaluate every workload once per engine and require the results
     to be bit-identical.  Returns the number of mismatching workloads."""
     dumps = {}
+    mismatches = 0
     for engine in engines:
+        dump, steps = engine_dump(engine, benchmarks)
         # Round-trip through JSON so the comparison sees exactly what a
         # serialized dump would contain (tuples become lists, etc.).
-        dumps[engine] = json.loads(
-            json.dumps(engine_dump(engine, benchmarks), sort_keys=True)
-        )
+        dumps[engine] = json.loads(json.dumps(dump, sort_keys=True))
+        for key in vacuous_workloads(engine, steps):
+            mismatches += 1
+            print(
+                f"VACUOUS {engine} at {key}: "
+                f"{steps[key]} compiled-kernel steps"
+            )
     reference = engines[0]
-    mismatches = 0
     for other in engines[1:]:
         for key in sorted(dumps[reference]):
             if dumps[reference][key] == dumps[other][key]:

@@ -84,6 +84,9 @@ EXIT_IMPOSSIBLE = 10
 EXIT_EXHAUSTED = 20
 EXIT_FAILED_UNITS = 30
 
+#: ``--engine`` choices; the default is ``TracerConfig.engine``.
+ENGINES = ("compiled", "interpreted")
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=_beam, default=5, metavar="K",
@@ -92,9 +95,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--narrate", action="store_true",
                         help="print the full Figure-1 style transcript")
     parser.add_argument(
-        "--engine", choices=("interpreted", "compiled"), default="interpreted",
-        help="forward-phase engine: 'compiled' runs the bitset kernel "
-             "(bit-identical verdicts, faster); default interpreted",
+        "--engine", choices=ENGINES, default=TracerConfig.engine,
+        help="forward-phase engine: 'compiled' (the default) runs the "
+             "bitset kernel; 'interpreted' runs the reference interpreter "
+             "(bit-identical verdicts, slower)",
     )
     _add_robust(parser)
     _add_journal(parser)
@@ -184,7 +188,7 @@ def _config(args) -> TracerConfig:
         max_seconds=getattr(args, "max_seconds", None),
         max_steps=getattr(args, "max_steps", None),
         strict=not getattr(args, "lenient", False),
-        engine=getattr(args, "engine", "interpreted"),
+        engine=getattr(args, "engine", TracerConfig.engine),
     )
 
 
@@ -485,7 +489,9 @@ def _cmd_eval(args) -> int:
     )
 
     config = TracerConfig(
-        k=args.k, max_iterations=30, engine=getattr(args, "engine", "interpreted")
+        k=args.k,
+        max_iterations=30,
+        engine=getattr(args, "engine", TracerConfig.engine),
     )
 
     def run():
@@ -1016,8 +1022,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluation.add_argument("--k", type=_beam, default=5, metavar="K")
     evaluation.add_argument(
-        "--engine", choices=("interpreted", "compiled"), default="interpreted",
-        help="forward-phase engine for every workload (see --engine above)",
+        "--engine", choices=ENGINES, default=TracerConfig.engine,
+        help="forward-phase engine for every workload: 'compiled' (the "
+             "default) or 'interpreted' (see solve-* --engine)",
     )
     evaluation.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -1126,8 +1133,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=_beam, default=5, metavar="K")
     serve.add_argument("--max-iterations", type=int, default=60)
     serve.add_argument(
-        "--engine", choices=("interpreted", "compiled"),
-        default="interpreted",
+        "--engine", choices=ENGINES, default=TracerConfig.engine,
+        help="forward-phase engine: 'compiled' (the default) or "
+             "'interpreted' (see solve-* --engine)",
     )
     serve.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",

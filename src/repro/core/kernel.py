@@ -4,20 +4,35 @@ The interpreted forward engine applies each guarded-update table by
 walking its cases: per state, evaluate guard closures, then run the
 matching effect closure — several Python frames per transfer.  For the
 finite domains all three bundled clients use, the whole table can
-instead be compiled *once per (command, footprint)* into a straight-line
-Python function over integer bitsets:
+instead be lowered *once per (table key, footprint)* into a
+straight-line Python function over integer bitsets:
 
 * each abstract state is interned to an integer by the client's
   :class:`~repro.dataflow.bitset.StateCodec`;
 * each guard lowers to a disjunction of ``(ones, zeros)`` mask cubes
   (parameter literals fold to constants under the bound abstraction
   ``p``, exactly mirroring ``SemanticsBinding.bind_formula``);
-* each effect lowers to a keep-mask plus constant bits, shifted copies,
-  per-entry ``MapRead`` tables, and conditional bits for ``BoolExpr``
-  writes;
-* the rows are emitted as one ``def _kernel_step(s): ...`` source
-  string and compiled with :func:`compile`/``exec`` — after which a
-  transfer is a single call evaluating a few integer mask expressions.
+* each effect lowers to at most one ``(s & mask) << delta`` term per
+  distinct bit distance (kept bits, ``Read`` copies and one-hot
+  ``MapRead``\\ s alike), constant bits, conditional bits for
+  ``BoolExpr`` writes, and a lookup table per bool-group ``MapRead``;
+* the rows are emitted as one ``_kernel_step(s)`` body whose constants
+  are closure cells, so every step of one source *shape* shares one
+  compiled code object — after which a transfer is a single call
+  evaluating a few integer mask expressions.
+
+What one family of clients shares lives in a :class:`KernelStore`:
+the codec (with its encode/decode memos and its per-codec memo of
+lowered parameter-free effects), the lowered steps keyed by
+``(semantics.table_key(command), specialisation_key(p))`` — the key the
+compiled-command store and the wp memo already use — and the family's
+edge tables.  The template resolves every node once; the table for an
+abstraction ``p`` is derived from the family's last one by
+re-resolving only the parameter-dependent nodes whose footprint
+changed between the two abstractions; and each client's
+:class:`KernelEngine` puts in its own nodes, those whose table key may
+differ between siblings (the semantics names them through
+``key_varies_by_sibling``).
 
 The worklist itself runs in :func:`_run_encoded`, a specialised twin
 of :func:`repro.dataflow.collecting.run_collecting` over packed
@@ -44,21 +59,17 @@ engine's observable behaviour *exactly*:
 Identity transfers and duplicate ``(dst, fn)`` rows are elided from
 the hot successor tables (neither can ever insert anything the
 remaining rows don't), and epsilon/identity hops reduce to a single
-integer add of a precomputed ``dst - node`` delta.  Codecs may
-additionally *narrow* their layout per abstraction footprint
-(:meth:`~repro.dataflow.bitset.StateCodec.narrow`): under ``p`` the
-typestate must-alias set and the provenance site sets provably stay
-inside ``p``, so those bit groups vanish from the word and every mask
-op shrinks.  :class:`KernelResult` decodes states, witnesses, and the
-step count lazily at the observation API.  Commands whose guards or
-effects do not lower (:class:`~repro.dataflow.bitset.KernelFallback`)
-fall back to the interpreted bound step for that command only, wrapped
-in encode/decode — bit-identity is preserved either way.
+integer add of a precomputed ``dst - node`` delta.
+:class:`KernelResult` decodes states, witnesses, and the step count
+lazily at the observation API.  Commands whose guards or effects do
+not lower (:class:`~repro.dataflow.bitset.KernelFallback`) fall back
+to the interpreted bound step for that command only, wrapped in
+encode/decode — bit-identity is preserved either way.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.formula import And, Bottom, Formula, Lit, Or, Top
 from repro.core.semantics import (
@@ -69,18 +80,32 @@ from repro.core.semantics import (
     Updates,
     _identity_step,
 )
-from repro.dataflow.bitset import BOOL, KernelFallback, StateCodec
+from repro.dataflow.bitset import BOOL, ONEHOT, KernelFallback, StateCodec
 from repro.dataflow.collecting import CollectingResult, WitnessTrace
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs
 from repro.robust import budget as robust_budget
 
-__all__ = ["KernelEngine", "KernelResult", "lower_command"]
+__all__ = [
+    "EdgeTable",
+    "KernelEngine",
+    "KernelResult",
+    "KernelStore",
+    "lower_command",
+]
 
 #: Guard lowering result: a constant, or a list of ``(ones, zeros)``
 #: mask cubes — the guard holds iff some cube has all ``ones`` bits set
 #: and all ``zeros`` bits clear.
 _Guard = Union[bool, List[Tuple[int, int]]]
+
+#: A lowered effect: ``(masks, tables, conds, const)`` where the output
+#: word is the OR of ``(s & mask) << delta`` per ``(delta, mask)`` of
+#: ``masks``, ``table[(s >> shift) & local_mask]`` per ``(shift,
+#: local_mask, table)`` of ``tables``, ``bits if guard else 0`` per
+#: ``(bits, cubes)`` of ``conds``, and ``const``.  ``None`` stands for
+#: the identity on canonical words.
+_Lowered = Optional[Tuple[tuple, tuple, tuple, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -146,86 +171,95 @@ def _lower_guard(formula: Formula, binding, codec: StateCodec, p) -> _Guard:
     raise KernelFallback(f"cannot lower guard: {formula!r}")
 
 
-def _guard_src(cubes: List[Tuple[int, int]]) -> str:
-    """Python source testing a lowered guard against local ``s``."""
-    tests = []
-    for ones, zeros in cubes:
-        parts = []
-        if ones:
-            parts.append(f"(s & {ones:#x}) == {ones:#x}")
-        if zeros:
-            parts.append(f"not (s & {zeros:#x})")
-        tests.append(" and ".join(parts) if parts else "True")
-    if len(tests) == 1:
-        return tests[0]
-    return " or ".join(f"({t})" for t in tests)
-
-
 # ---------------------------------------------------------------------------
 # Effect lowering
 # ---------------------------------------------------------------------------
 
 
-def _effect_src(effect, binding, codec: StateCodec, p, maps_env: Dict) -> str:
-    """Python source computing the effect's output word from ``s``.
+def _lower_effect(effect, binding, codec: StateCodec, p) -> _Lowered:
+    """The effect's output word from ``s`` as mask terms (see
+    :data:`_Lowered`).
 
-    Raises :class:`KernelFallback` whenever a write cannot be proven to
-    stay inside the layout or a value expression has no mask form.
+    ``Updates`` lowers only its own writes; any other effect is asked
+    for its value at every layout group.  Effects with no parameter
+    primitives are lowered once per codec (``codec.lowered``).  Raises
+    :class:`KernelFallback` whenever a write cannot be proven to stay
+    inside the layout or a value expression has no mask form.
     """
+    if isinstance(effect, Updates) and not effect.writes:
+        return None
+    memo = codec.lowered if effect.param_primitives(binding) == () else None
+    if memo is not None and effect in memo:
+        return memo[effect]
     if not codec.safe_effect(effect, binding, p):
         raise KernelFallback(f"effect may write outside the layout: {effect!r}")
-    keep = 0
+    layout = codec.layout
+    if isinstance(effect, Updates):
+        # Writes outside the layout were proven harmless above.
+        writes = [
+            (layout.group(location), expr)
+            for location, expr in effect.writes
+            if location in layout
+        ]
+    else:
+        writes = []
+        for group in layout.groups:
+            expr = effect.value_expr_at(group.location, binding)
+            if expr is not None:
+                writes.append((group, expr))
+    keep = layout.full_mask
+    for group, _expr in writes:
+        keep &= ~group.mask
+    masks: Dict[int, int] = {0: keep}
+    tables: List[Tuple[int, int, tuple]] = []
+    conds: List[Tuple[int, List[Tuple[int, int]]]] = []
     const = 0
-    pieces: List[str] = []
-    for group in codec.layout.groups:
-        expr = effect.value_expr_at(group.location, binding)
-        if expr is None:
-            keep |= group.mask
-        elif isinstance(expr, Const):
+    for group, expr in writes:
+        if isinstance(expr, Const):
             const |= group.value_bits(expr.value)
         elif isinstance(expr, Read):
-            src = codec.layout.group(expr.location)
+            src = layout.group(expr.location)
             if src is None:
                 const |= group.value_bits(codec.missing_read(expr.location))
             elif src.style == group.style and src.values == group.values:
-                if src.shift == group.shift:
-                    pieces.append(f"(s & {src.mask:#x})")
-                elif group.shift > src.shift:
-                    pieces.append(
-                        f"((s & {src.mask:#x}) << {group.shift - src.shift})"
-                    )
-                else:
-                    pieces.append(
-                        f"((s & {src.mask:#x}) >> {src.shift - group.shift})"
-                    )
+                delta = group.shift - src.shift
+                masks[delta] = masks.get(delta, 0) | src.mask
             else:
                 raise KernelFallback(
                     f"incompatible copy {expr.location!r} -> {group.location!r}"
                 )
         elif isinstance(expr, MapRead):
             mapping = dict(expr.mapping)
-            src = codec.layout.group(expr.location)
+            src = layout.group(expr.location)
             if src is None:
                 value = codec.missing_read(expr.location)
                 if value not in mapping:
                     raise KernelFallback(f"non-total MapRead: {expr!r}")
                 const |= group.value_bits(mapping[value])
-            else:
-                table: Dict[int, int] = {}
+                continue
+            for value in src.domain():
+                if value not in mapping:
+                    raise KernelFallback(f"non-total MapRead: {expr!r}")
+            if src.style == ONEHOT:
+                # Exactly one source bit is set: move each to the bit
+                # of its image, one shifted mask per bit distance.
                 for value in src.domain():
-                    if value not in mapping:
-                        raise KernelFallback(f"non-total MapRead: {expr!r}")
-                    table[src.local_code(value)] = group.value_bits(
-                        mapping[value]
+                    out = group.value_bits(mapping[value])
+                    if out:
+                        bit = src.value_bits(value)
+                        delta = out.bit_length() - bit.bit_length()
+                        masks[delta] = masks.get(delta, 0) | bit
+            else:
+                tables.append(
+                    (
+                        src.shift,
+                        src.local_mask,
+                        tuple(
+                            group.value_bits(mapping[value])
+                            for value in src.domain()
+                        ),
                     )
-                name = f"_M{len(maps_env)}"
-                maps_env[name] = table
-                if src.shift:
-                    pieces.append(
-                        f"{name}[(s >> {src.shift}) & {src.local_mask:#x}]"
-                    )
-                else:
-                    pieces.append(f"{name}[s & {src.local_mask:#x}]")
+                )
         elif isinstance(expr, BoolExpr):
             if group.style != BOOL:
                 raise KernelFallback(
@@ -235,29 +269,112 @@ def _effect_src(effect, binding, codec: StateCodec, p, maps_env: Dict) -> str:
             if lowered is True:
                 const |= group.mask
             elif lowered is not False:
-                pieces.append(
-                    f"({group.mask:#x} if {_guard_src(lowered)} else 0)"
-                )
+                conds.append((group.mask, lowered))
         else:
             raise KernelFallback(f"cannot lower value expression: {expr!r}")
-    if keep == codec.layout.full_mask:
-        # Every group is kept: the effect is the identity on canonical
-        # (layout-only-bits) words, which is all the worklist ever holds.
-        return "s"
-    if keep:
-        pieces.insert(0, f"(s & {keep:#x})")
-    if const:
-        pieces.append(f"{const:#x}")
-    return " | ".join(pieces) if pieces else "0"
+    terms = tuple(sorted((d, m) for d, m in masks.items() if m))
+    if terms == ((0, layout.full_mask),) and not (tables or conds or const):
+        # Every bit lands where it was: the identity on canonical
+        # (layout-only-bits) words, which is all the worklist holds.
+        result = None
+    else:
+        result = (terms, tuple(tables), tuple(conds), const)
+    if memo is not None:
+        memo[effect] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Per-command compilation
+# Source emission, one compiled code object per shape
+# ---------------------------------------------------------------------------
+
+
+class _Cells:
+    """The constants of one step's source, bound as closure cells."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):
+        self.values: List[object] = []
+
+    def __call__(self, value) -> str:
+        self.values.append(value)
+        return f"_c{len(self.values) - 1}"
+
+
+def _guard_src(cubes: List[Tuple[int, int]], cell: _Cells) -> str:
+    """Python source testing a lowered guard against local ``s``."""
+    tests = []
+    for ones, zeros in cubes:
+        parts = []
+        if ones:
+            name = cell(ones)
+            parts.append(f"(s & {name}) == {name}")
+        if zeros:
+            parts.append(f"not (s & {cell(zeros)})")
+        tests.append(" and ".join(parts) if parts else "True")
+    if len(tests) == 1:
+        return tests[0]
+    return " or ".join(f"({t})" for t in tests)
+
+
+def _effect_src(lowered: _Lowered, full_mask: int, cell: _Cells) -> str:
+    """Python source computing a lowered effect's output from ``s``."""
+    if lowered is None:
+        return "s"
+    terms, tables, conds, const = lowered
+    pieces = []
+    for delta, mask in terms:
+        if delta == 0:
+            pieces.append("s" if mask == full_mask else f"(s & {cell(mask)})")
+        elif delta > 0:
+            pieces.append(f"((s & {cell(mask)}) << {cell(delta)})")
+        else:
+            pieces.append(f"((s & {cell(mask)}) >> {cell(-delta)})")
+    for shift, local_mask, table in tables:
+        if shift:
+            pieces.append(f"{cell(table)}[(s >> {cell(shift)}) & {cell(local_mask)}]")
+        else:
+            pieces.append(f"{cell(table)}[s & {cell(local_mask)}]")
+    for bits, cubes in conds:
+        pieces.append(f"({cell(bits)} if {_guard_src(cubes, cell)} else 0)")
+    if const:
+        pieces.append(cell(const))
+    return " | ".join(pieces) if pieces else "0"
+
+
+#: Step factories by source shape (the body with every constant a
+#: numbered cell).  Holds only code, no client or family data; bounded
+#: for safety, though the bundled clients produce a few dozen shapes.
+_SHAPES: Dict[str, Callable] = {}
+_MAX_SHAPES = 1024
+
+
+def _bind_shape(body: List[str], cells: _Cells) -> Callable[[int], int]:
+    shape = "\n".join(body)
+    factory = _SHAPES.get(shape)
+    if factory is None:
+        if len(_SHAPES) >= _MAX_SHAPES:
+            _SHAPES.clear()
+        params = ", ".join(f"_c{i}" for i in range(len(cells.values)))
+        source = "\n".join(
+            [f"def _factory({params}):", "    def _kernel_step(s):"]
+            + [f"        {line}" for line in body]
+            + ["    return _kernel_step"]
+        )
+        namespace: Dict[str, object] = {}
+        exec(compile(source, "<repro-kernel>", "exec"), namespace)
+        factory = _SHAPES[shape] = namespace["_factory"]
+    return factory(*cells.values)
+
+
+# ---------------------------------------------------------------------------
+# Per-command lowering
 # ---------------------------------------------------------------------------
 
 
 def lower_command(compiled, codec: StateCodec, p) -> Callable[[int], int]:
-    """Compile one command's case table into an ``int -> int`` step.
+    """Lower one command's case table into an ``int -> int`` step.
 
     Mirrors ``CompiledCommand._compile_bound`` row for row: cases whose
     guards fold to ``False`` under ``p`` are dropped, the table is
@@ -266,71 +383,50 @@ def lower_command(compiled, codec: StateCodec, p) -> Callable[[int], int]:
     :class:`KernelFallback` when any surviving row resists lowering.
     """
     binding = compiled.binding
-    rows: List[Tuple[Optional[List[Tuple[int, int]]], object]] = []
+    rows: List[Tuple[Optional[List[Tuple[int, int]]], _Lowered]] = []
     for case in compiled.cases:
         guard = _lower_guard(case.guard, binding, codec, p)
         if guard is False:
             continue
-        rows.append((None if guard is True else guard, case.effect))
+        rows.append(
+            (
+                None if guard is True else guard,
+                _lower_effect(case.effect, binding, codec, p),
+            )
+        )
         if guard is True:
             break
     if not rows:
         raise KernelFallback("all guards folded to False (non-total table?)")
-    rows[-1] = (None, rows[-1][1])
-
-    maps_env: Dict[str, Dict[int, int]] = {}
-    emitted: List[Tuple[Optional[List[Tuple[int, int]]], str]] = []
-    for cubes, effect in rows:
-        if isinstance(effect, Updates) and not effect.writes:
-            emitted.append((cubes, "s"))
-        else:
-            emitted.append((cubes, _effect_src(effect, binding, codec, p, maps_env)))
-
-    if all(expr == "s" for _cubes, expr in emitted):
-        # The whole table folded to the identity under ``p`` (common
-        # once narrowing drops the bits a command would have touched):
-        # let the worklist treat the edge as an epsilon hop.
+    while len(rows) > 1 and rows[-1][1] is None and rows[-2][1] is None:
+        # Identity rows in front of the final identity row need no test.
+        del rows[-2]
+    if len(rows) == 1 and rows[0][1] is None:
+        # The whole table folds to the identity under ``p``: let the
+        # worklist treat the edge as an epsilon hop.
         return _identity_step
-
-    lines = ["def _kernel_step(s):"]
-    for cubes, expr in emitted[:-1]:
-        lines.append(f"    if {_guard_src(cubes)}:")
-        lines.append(f"        return {expr}")
-    lines.append(f"    return {emitted[-1][1]}")
-    namespace: Dict[str, object] = dict(maps_env)
-    exec(compile("\n".join(lines), "<repro-kernel>", "exec"), namespace)
-    return namespace["_kernel_step"]
-
-
-class _KernelStep:
-    """The ``Step`` protocol object handed to ``run_collecting``: maps
-    commands to compiled ``int -> int`` functions for one abstraction."""
-
-    __slots__ = ("_engine", "_p", "_resolved")
-
-    def __init__(self, engine: "KernelEngine", p):
-        self._engine = engine
-        self._p = p
-        self._resolved: Dict[object, Callable[[int], int]] = {}
-
-    def for_command(self, command) -> Callable[[int], int]:
-        fn = self._resolved.get(command)
-        if fn is None:
-            fn = self._resolved[command] = self._engine.bound_step(
-                command, self._p
-            )
-        return fn
-
-    def __call__(self, command, bits: int) -> int:
-        return self.for_command(command)(bits)
+    full_mask = codec.layout.full_mask
+    cell = _Cells()
+    body = []
+    for cubes, effect in rows[:-1]:
+        body.append(f"if {_guard_src(cubes, cell)}:")
+        body.append(f"    return {_effect_src(effect, full_mask, cell)}")
+    body.append(f"return {_effect_src(rows[-1][1], full_mask, cell)}")
+    return _bind_shape(body, cell)
 
 
-def _build_edge_cache(cfg, kstep: "_KernelStep") -> Dict[str, object]:
-    """Per-``(engine, p)`` successor tables for :func:`_run_encoded`.
+# ---------------------------------------------------------------------------
+# Edge tables
+# ---------------------------------------------------------------------------
 
-    ``full`` keeps every original edge in order — witness and ``steps``
-    reconstruction need them.  The loop dispatches on three parallel
-    per-node arrays, ordered by measured pop frequency:
+
+class EdgeTable:
+    """Per-node successor tables for :func:`_run_encoded`.
+
+    ``full[node]`` keeps every original edge as ``(fn, dst, edge)`` in
+    CFG order — witness and ``steps`` reconstruction need them.  The
+    loop dispatches on three parallel per-node arrays, ordered by
+    measured pop frequency:
 
     * ``fns[node]``/``dsts[node]`` — the node has exactly one compiled
       transfer successor (``fns`` is ``None`` otherwise);
@@ -339,76 +435,94 @@ def _build_edge_cache(cfg, kstep: "_KernelStep") -> Dict[str, object]:
     * ``rest[node]`` — everything else: a tuple of deltas, or a list
       mixing deltas and ``(fn, dst)`` pairs (empty for exit nodes).
 
+    ``counts[node]`` (the node's non-epsilon edges), ``observe`` (the
+    source node of each label's ``Observe`` edges, in CFG order),
+    ``shift`` and ``mask`` do not depend on the abstraction and are
+    shared by every table derived from one template.
+    """
+
+    __slots__ = (
+        "fns",
+        "dsts",
+        "deltas",
+        "rest",
+        "full",
+        "counts",
+        "observe",
+        "shift",
+        "mask",
+    )
+
+    def __init__(self, cfg, counts: Tuple[int, ...]):
+        node_count = cfg.node_count
+        self.fns: List[object] = [None] * node_count
+        self.dsts: List[int] = [0] * node_count
+        self.deltas: List[Optional[int]] = [None] * node_count
+        self.rest: List[object] = [()] * node_count
+        self.full: List[tuple] = [()] * node_count
+        self.counts = counts
+        self.observe: Dict[str, Tuple[int, ...]] = {
+            label: tuple(edge.src for edge in edges)
+            for label, edges in cfg.observe_edges().items()
+        }
+        self.shift = max(1, node_count - 1).bit_length()
+        self.mask = (1 << self.shift) - 1
+
+    def copy(self) -> "EdgeTable":
+        table = EdgeTable.__new__(EdgeTable)
+        table.fns = self.fns[:]
+        table.dsts = self.dsts[:]
+        table.deltas = self.deltas[:]
+        table.rest = self.rest[:]
+        table.full = self.full[:]
+        table.counts = self.counts
+        table.observe = self.observe
+        table.shift = self.shift
+        table.mask = self.mask
+        return table
+
+    def set_node(self, node: int, rows: tuple, dispatch: Optional[tuple] = None):
+        """Install ``node``'s resolved ``(fn, dst, edge)`` rows, with
+        their :func:`_node_dispatch` entries (computed when not given)."""
+        if dispatch is None:
+            dispatch = _node_dispatch(node, rows)
+        self.full[node] = rows
+        fn, dst, delta, rest = dispatch
+        self.fns[node] = fn
+        self.dsts[node] = dst
+        self.deltas[node] = delta
+        self.rest[node] = rest
+
+
+def _node_dispatch(node: int, rows: tuple) -> tuple:
+    """The ``(fns, dsts, deltas, rest)`` entries of ``node``'s rows.
+
     Identity steps (including whole tables that fold to the identity
     under ``p``) become deltas, and later duplicate ``(dst, fn)`` rows
     are dropped: in the interpreted loop such a row always finds its
     output already present (the earlier identical row inserted it in
     the same pop), so eliding it changes no insertion, no witness, and
-    no pop — only the per-pop work.
-    """
-    resolve = kstep.for_command
-    fns: List[object] = []
-    dsts: List[int] = []
-    deltas: List[Optional[int]] = []
-    rest: List[object] = []
-    full: List[Tuple] = []
-    counts: List[int] = []
-    for node in range(cfg.node_count):
-        frows = []
-        count = 0
-        for edge in cfg.successors(node):
-            if edge.command is None:
-                fn = None
-            else:
-                fn = resolve(edge.command)
-                count += 1
-            frows.append((fn, edge.dst, edge))
-        full.append(tuple(frows))
-        counts.append(count)
-        entries: List[object] = []
-        markers = set()
-        for fn, dst, _edge in frows:
-            if fn is _identity_step:
-                fn = None
-            marker = (dst, None if fn is None else id(fn))
-            if marker in markers:
-                continue
-            markers.add(marker)
-            entries.append(dst - node if fn is None else (fn, dst))
-        if len(entries) == 1 and type(entries[0]) is tuple:
-            fns.append(entries[0][0])
-            dsts.append(entries[0][1])
-            deltas.append(None)
-            rest.append(())
-        elif len(entries) == 1:
-            fns.append(None)
-            dsts.append(0)
-            deltas.append(entries[0])
-            rest.append(())
-        elif entries and all(type(entry) is int for entry in entries):
-            fns.append(None)
-            dsts.append(0)
-            deltas.append(None)
-            rest.append(tuple(entries))
-        else:
-            fns.append(None)
-            dsts.append(0)
-            deltas.append(None)
-            rest.append(entries)
-    shift = max(1, cfg.node_count - 1).bit_length()
-    return {
-        "fns": fns,
-        "dsts": dsts,
-        "deltas": deltas,
-        "rest": rest,
-        "full": tuple(full),
-        "counts": tuple(counts),
-        "shift": shift,
-        "mask": (1 << shift) - 1,
-    }
+    no pop — only the per-pop work."""
+    entries: List[object] = []
+    markers = set()
+    for fn, dst, _edge in rows:
+        if fn is _identity_step:
+            fn = None
+        marker = (dst, None if fn is None else id(fn))
+        if marker in markers:
+            continue
+        markers.add(marker)
+        entries.append(dst - node if fn is None else (fn, dst))
+    if len(entries) == 1 and type(entries[0]) is tuple:
+        return entries[0][0], entries[0][1], None, ()
+    if len(entries) == 1:
+        return None, 0, entries[0], ()
+    if entries and all(type(entry) is int for entry in entries):
+        return None, 0, None, tuple(entries)
+    return None, 0, None, entries if entries else ()
 
 
-def _run_encoded(cache: Dict[str, object], entry_key: int) -> Dict[int, Optional[int]]:
+def _run_encoded(table: EdgeTable, entry_key: int) -> Dict[int, Optional[int]]:
     """The packed-key worklist: ``key -> packed predecessor key`` (the
     entry maps to ``None``).
 
@@ -420,12 +534,12 @@ def _run_encoded(cache: Dict[str, object], entry_key: int) -> Dict[int, Optional
     transfer can coincide with a sibling edge's output, and the
     identity check would then re-enqueue the key.
     """
-    fns = cache["fns"]
-    dsts = cache["dsts"]
-    deltas = cache["deltas"]
-    rest = cache["rest"]
-    shift = cache["shift"]
-    mask = cache["mask"]
+    fns = table.fns
+    dsts = table.dsts
+    deltas = table.deltas
+    rest = table.rest
+    shift = table.shift
+    mask = table.mask
     seen: Dict[int, Optional[int]] = {entry_key: None}
     setdefault = seen.setdefault
     pending = [entry_key]
@@ -507,6 +621,9 @@ class KernelResult:
     ``steps`` count — is reconstructed on demand: the hottest consumers
     (micro-benchmarks, cache probes) never touch most nodes, and the
     TRACER driver only reads the few Observe nodes of each query group.
+    Each node read scans the fixpoint once: a scan keeps only that
+    node's states, where grouping every key by node builds tables for
+    nodes nobody reads, and the forward-run cache keeps them alive.
     """
 
     __slots__ = (
@@ -514,20 +631,18 @@ class KernelResult:
         "cfg",
         "entry_state",
         "_seen",
-        "_cache",
+        "_table",
         "_steps",
-        "_tables",
         "_by_node",
     )
 
-    def __init__(self, seen, cache, codec: StateCodec, cfg, entry_state):
+    def __init__(self, seen, table: EdgeTable, codec: StateCodec, cfg, entry_state):
         self._seen = seen
-        self._cache = cache
+        self._table = table
         self.codec = codec
         self.cfg = cfg
         self.entry_state = entry_state
         self._steps: Optional[int] = None
-        self._tables: Optional[Dict[int, Dict[int, Optional[int]]]] = None
         self._by_node: Dict[int, Dict[object, int]] = {}
 
     @property
@@ -536,32 +651,22 @@ class KernelResult:
         state is popped once, and a pop applies every non-epsilon edge
         of its node once."""
         if self._steps is None:
-            counts = self._cache["counts"]
-            mask = self._cache["mask"]
+            counts = self._table.counts
+            mask = self._table.mask
             self._steps = sum(counts[key & mask] for key in self._seen)
         return self._steps
-
-    def _node_tables(self) -> Dict[int, Dict[int, Optional[int]]]:
-        tables = self._tables
-        if tables is None:
-            shift = self._cache["shift"]
-            mask = self._cache["mask"]
-            tables = self._tables = {}
-            for key, pred in self._seen.items():
-                node = key & mask
-                table = tables.get(node)
-                if table is None:
-                    table = tables[node] = {}
-                table[key >> shift] = pred
-        return tables
 
     def _witness_edge(self, pred_node: int, pred_bits: int, node: int, bits: int):
         """The edge that first derived ``(node, bits)`` from the
         predecessor pop: the first successor edge mapping
         ``pred_bits`` to ``bits`` at ``dst == node`` — any earlier
         matching edge would have performed the insertion instead, in
-        this engine and the interpreted one alike."""
-        for fn, dst, edge in self._cache["full"][pred_node]:
+        this engine and the interpreted one alike.  The only edge of a
+        single-successor predecessor needs no check."""
+        rows = self._table.full[pred_node]
+        if len(rows) == 1:
+            return rows[0][2]
+        for fn, dst, edge in rows:
             if dst == node and (pred_bits if fn is None else fn(pred_bits)) == bits:
                 return edge
         raise AssertionError(
@@ -571,11 +676,11 @@ class KernelResult:
     def _node_table(self, node: int) -> Dict[object, int]:
         table = self._by_node.get(node)
         if table is None:
+            shift = self._table.shift
+            mask = self._table.mask
+            found = [key >> shift for key in self._seen if (key & mask) == node]
             decode = self.codec.decode
-            table = self._by_node[node] = {
-                decode(bits): bits
-                for bits in self._node_tables().get(node, ())
-            }
+            table = self._by_node[node] = {decode(bits): bits for bits in found}
         return table
 
     def states_at(self, node: int) -> Tuple[object, ...]:
@@ -586,12 +691,9 @@ class KernelResult:
 
     def states_before_observe(self, label: str):
         out: List[Tuple[int, object]] = []
-        for edge_label, edges in self.cfg.observe_edges().items():
-            if edge_label != label:
-                continue
-            for edge in edges:
-                for state in self.states_at(edge.src):
-                    out.append((edge.src, state))
+        for src in self._table.observe.get(label, ()):
+            for state in self.states_at(src):
+                out.append((src, state))
         return tuple(out)
 
     def trace_to(self, node: int, state: object) -> WitnessTrace:
@@ -599,25 +701,23 @@ class KernelResult:
         table (``KeyError`` when never derived, like the interpreted
         result), walk the packed witness links, and decode the state
         before each command."""
-        shift = self._cache["shift"]
-        mask = self._cache["mask"]
+        shift = self._table.shift
+        mask = self._table.mask
+        witness_edge = self._witness_edge
         decode = self.codec.decode
-        bits = self._node_table(node)[state]
         seen = self._seen
         commands: List[object] = []
         states = [state]
-        key = bits << shift | node
-        while True:
-            pred = seen[key]
-            if pred is None:
-                break
-            pred_node = pred & mask
+        key = self._node_table(node)[state] << shift | node
+        pred = seen[key]
+        while pred is not None:
             pred_bits = pred >> shift
-            edge = self._witness_edge(pred_node, pred_bits, key & mask, key >> shift)
+            edge = witness_edge(pred & mask, pred_bits, key & mask, key >> shift)
             if edge.command is not None:
                 commands.append(edge.command)
                 states.append(decode(pred_bits))
             key = pred
+            pred = seen[key]
         commands.reverse()
         states.reverse()
         return WitnessTrace(commands, tuple(states))
@@ -625,21 +725,21 @@ class KernelResult:
     def materialize(self) -> CollectingResult:
         """Eagerly decode everything into a plain
         :class:`CollectingResult` (tests compare engines through this)."""
-        shift = self._cache["shift"]
-        mask = self._cache["mask"]
+        shift = self._table.shift
+        mask = self._table.mask
         decode = self.codec.decode
         states: Dict[int, Dict[object, object]] = {}
-        for node, table in self._node_tables().items():
-            out: Dict[object, object] = {}
-            for bits, pred in table.items():
-                if pred is None:
-                    out[decode(bits)] = None
-                else:
-                    pred_node = pred & mask
-                    pred_bits = pred >> shift
-                    edge = self._witness_edge(pred_node, pred_bits, node, bits)
-                    out[decode(bits)] = (pred_node, decode(pred_bits), edge)
-            states[node] = out
+        for key, pred in self._seen.items():
+            node = key & mask
+            bits = key >> shift
+            out = states.setdefault(node, {})
+            if pred is None:
+                out[decode(bits)] = None
+            else:
+                pred_node = pred & mask
+                pred_bits = pred >> shift
+                edge = self._witness_edge(pred_node, pred_bits, node, bits)
+                out[decode(bits)] = (pred_node, decode(pred_bits), edge)
         return CollectingResult(
             cfg=self.cfg,
             entry_state=self.entry_state,
@@ -648,9 +748,69 @@ class KernelResult:
         )
 
 
-#: Mirrors ``engines._MAX_STEP_CACHES``: bound on per-step edge caches
-#: and on per-footprint narrowed sub-engines.
-_MAX_STEP_CACHES = 256
+# ---------------------------------------------------------------------------
+# The family store and the engine
+# ---------------------------------------------------------------------------
+
+#: One successor edge of a parameter-dependent node, as
+#: ``(fn, compiled, key, dst, edge)``: ``compiled`` and ``key`` are set
+#: when the edge's step must be looked up per abstraction, and ``fn``
+#: holds the step otherwise (``None`` on epsilon edges).
+_Entry = Tuple[object, object, Hashable, int, object]
+
+
+class KernelStore:
+    """What the compiled engines of one client family share.
+
+    * ``codec`` — one :class:`StateCodec`, so its encode/decode memos
+      and its lowered parameter-free effects serve every sibling;
+    * ``steps`` — lowered ``int -> int`` steps keyed by
+      ``(table_key(command), specialisation_key(p))``.  By the
+      ``table_key`` contract equal keys mean equal tables, so equal
+      step keys mean equal steps, whichever sibling lowered them;
+    * the edge-table template, built by the first engine that runs
+      (see :meth:`KernelEngine.edge_table`): ``template`` resolves
+      every node whose steps do not depend on the abstraction, as the
+      builder sees them; ``params`` holds the edges (:data:`_Entry`
+      tuples) of the parameter-dependent nodes with no key-varying
+      edge, indexed by the parameter primitives their footprints
+      consult (``prims``, ``index``; ``dynamic`` lists nodes of
+      unknown footprint); ``varying`` records ``(command, table key)``
+      of each key-varying edge as the builder saw it, per node, and
+      ``varying_params`` the edges of such nodes that were
+      parameter-dependent for the builder;
+    * ``last`` — ``(p, primitive values, table)``: the template with
+      ``params`` resolved under the abstraction derived last.
+
+    A store lives exactly as long as the clients holding it (there is
+    no global registry), so a family's lowered steps go with it.
+    """
+
+    __slots__ = (
+        "codec",
+        "steps",
+        "template",
+        "params",
+        "prims",
+        "index",
+        "dynamic",
+        "varying",
+        "varying_params",
+        "last",
+        "__weakref__",
+    )
+
+    def __init__(self, codec: StateCodec):
+        self.codec = codec
+        self.steps: Dict[Tuple[Hashable, object], Callable[[int], int]] = {}
+        self.template: Optional[EdgeTable] = None
+        self.params: Dict[int, Tuple[_Entry, ...]] = {}
+        self.prims: Tuple[object, ...] = ()
+        self.index: Tuple[Tuple[int, ...], ...] = ()
+        self.dynamic: Tuple[int, ...] = ()
+        self.varying: Dict[int, Tuple[Tuple[object, Hashable], ...]] = {}
+        self.varying_params: Dict[int, Tuple[_Entry, ...]] = {}
+        self.last: Optional[Tuple[object, tuple, EdgeTable]] = None
 
 
 class KernelEngine:
@@ -659,43 +819,41 @@ class KernelEngine:
 
     Wraps the client's existing engine: steps that are not the bound
     ``BoundStep`` of this engine's semantics (or entry states the codec
-    refuses) delegate to the wrapped engine unchanged.  Compiled
-    ``int -> int`` steps are cached per ``(command,
-    specialisation_key(p))`` — the same footprint key the interpreted
-    specialisation cache uses, so abstractions agreeing on a command's
-    parameter footprint share one compiled function.
+    refuses) delegate to the wrapped engine unchanged.  Lowered steps
+    and the edge-table template come from the family's
+    :class:`KernelStore` (which must be over this engine's CFG); the
+    ``kernel.<client>`` counters are this engine's own (a miss is one
+    lowering, a hit one step found in the store).
     """
 
-    def __init__(self, inner, codec: StateCodec, semantics, _parent=None):
+    def __init__(self, inner, store: KernelStore, semantics):
         self.inner = inner
         self.cfg = inner.cfg
-        self.codec = codec
+        self.store = store
+        self.codec = store.codec
         self.semantics = semantics
-        self._root: "KernelEngine" = self if _parent is None else _parent
-        self._bound: Dict[Tuple[object, object], Callable[[int], int]] = {}
-        self._steps: Dict[object, _KernelStep] = {}
-        self._edge_caches: Dict[_KernelStep, Dict] = {}
-        if _parent is None:
-            self.hits = 0
-            self.misses = 0
-            self.fallbacks = 0
-            self._narrowed: Dict[object, "KernelEngine"] = {}
-            self._prepared: Dict[object, Tuple[StateCodec, Dict]] = {}
-            obs_metrics.register_cache(f"kernel.{semantics.metrics_name}", self)
+        self.hits = 0
+        self.misses = 0
+        self.fallbacks = 0
+        #: This client's own nodes, built on the first run: the nodes
+        #: with a key-varying edge, as ``(node, rows, dispatch)`` when
+        #: independent of the abstraction, else ``(node, entries)``.
+        self._fixed: Optional[Tuple[Tuple[int, tuple, tuple], ...]] = None
+        self._params: Tuple[Tuple[int, Tuple[_Entry, ...]], ...] = ()
+        obs_metrics.register_cache(f"kernel.{semantics.metrics_name}", self)
 
-    def bound_step(self, command, p) -> Callable[[int], int]:
-        """The compiled (or fallback) ``int -> int`` step for one
-        command under abstraction ``p``."""
-        root = self._root
-        compiled = self.semantics.compiled(command)
+    def _step(self, compiled, key, p, command) -> Callable[[int], int]:
+        """The lowered (or fallback) step of the table stored under
+        ``key``, specialised to ``p``, from the family store."""
         if compiled._all_identity:
             return _identity_step
-        key = (command, compiled.specialisation_key(p))
-        fn = self._bound.get(key)
+        step_key = (key, compiled.specialisation_key(p))
+        steps = self.store.steps
+        fn = steps.get(step_key)
         if fn is not None:
-            root.hits += 1
+            self.hits += 1
             return fn
-        root.misses += 1
+        self.misses += 1
         with obs.span(
             "kernel_compile",
             phase="forward",
@@ -713,65 +871,181 @@ class KernelEngine:
                     return _codec.encode(_inner(_codec.decode(bits)))
 
                 span.set(fallback=True, reason=str(reason))
-                root.fallbacks += 1
-        self._bound[key] = fn
+                self.fallbacks += 1
+        steps[step_key] = fn
         return fn
 
-    def _for_footprint(self, p) -> "KernelEngine":
-        """The engine whose codec layout matches ``p``: ``self`` when
-        the codec does not narrow, else a cached sub-engine built over
-        ``codec.narrow(p)``.  Sub-engines share the root's counters and
-        skip metrics registration; their compiled-step caches stay
-        keyed by the same footprint keys, which is sound because every
-        abstraction reaching one sub-engine shares its narrow key."""
-        narrow_key = self.codec.narrow_key(p)
-        if narrow_key is None:
-            return self
-        engine = self._narrowed.get(narrow_key)
-        if engine is None:
-            if len(self._narrowed) > _MAX_STEP_CACHES:
-                self._narrowed.clear()
-            engine = self._narrowed[narrow_key] = KernelEngine(
-                self.inner, self.codec.narrow(p), self.semantics, _parent=self
-            )
-        return engine
+    def bound_step(self, command, p) -> Callable[[int], int]:
+        """The compiled (or fallback) ``int -> int`` step for one
+        command under abstraction ``p``."""
+        semantics = self.semantics
+        return self._step(
+            semantics.compiled(command), semantics.table_key(command), p, command
+        )
 
-    def _prepare(self, p) -> Tuple[StateCodec, Dict]:
-        """Resolve, once per abstraction, everything ``run`` needs on
-        the hot path: the (possibly narrowed) codec and the built edge
-        cache.  Cached at the root keyed by ``p`` itself."""
-        engine = self._for_footprint(p)
-        kstep = engine._steps.get(p)
-        if kstep is None:
-            kstep = engine._steps[p] = _KernelStep(engine, p)
-        cache = engine._edge_caches.get(kstep)
-        if cache is None:
-            if len(engine._edge_caches) > _MAX_STEP_CACHES:
-                engine._edge_caches.clear()
-            cache = engine._edge_caches[kstep] = _build_edge_cache(
-                engine.cfg, kstep
+    def _entries(self, node: int, p) -> Tuple[Tuple[_Entry, ...], bool]:
+        """``node``'s successor edges as :data:`_Entry` tuples, in CFG
+        order, with every step that does not depend on the abstraction
+        already resolved; and whether any step does."""
+        semantics = self.semantics
+        entries = []
+        dependent = False
+        for edge in self.cfg.successors(node):
+            command = edge.command
+            if command is None:
+                entries.append((None, None, None, edge.dst, edge))
+                continue
+            compiled = semantics.compiled(command)
+            key = semantics.table_key(command)
+            if compiled._param_prims != ():
+                # The footprint is non-empty or unknown.
+                dependent = True
+                entries.append((None, compiled, key, edge.dst, edge))
+            else:
+                fn = self._step(compiled, key, p, command)
+                entries.append((fn, None, None, edge.dst, edge))
+        return tuple(entries), dependent
+
+    def _rows(self, entries: Tuple[_Entry, ...], p) -> tuple:
+        step = self._step
+        return tuple(
+            (
+                fn if compiled is None else step(compiled, key, p, edge.command),
+                dst,
+                edge,
             )
-        if len(self._prepared) > _MAX_STEP_CACHES:
-            self._prepared.clear()
-        prepared = self._prepared[p] = (engine.codec, cache)
-        return prepared
+            for fn, compiled, key, dst, edge in entries
+        )
+
+    def _build_template(self, p) -> None:
+        """Fill the store's template from this engine's semantics."""
+        store = self.store
+        cfg = self.cfg
+        varies = self.semantics.key_varies_by_sibling
+        resolved = [self._entries(node, p) for node in range(cfg.node_count)]
+        template = EdgeTable(
+            cfg,
+            tuple(
+                sum(1 for entry in entries if entry[4].command is not None)
+                for entries, _dependent in resolved
+            ),
+        )
+        index: Dict[object, List[int]] = {}
+        dynamic = []
+        for node, (entries, dependent) in enumerate(resolved):
+            keyed = tuple(
+                (edge.command, key)
+                for _fn, _compiled, key, _dst, edge in entries
+                if edge.command is not None and varies(edge.command)
+            )
+            if keyed:
+                store.varying[node] = keyed
+                if dependent:
+                    store.varying_params[node] = entries
+            elif dependent:
+                store.params[node] = entries
+                for _fn, compiled, _key, _dst, _edge in entries:
+                    if compiled is None:
+                        continue
+                    if compiled._param_prims is None:
+                        dynamic.append(node)
+                        break
+                    for prim in compiled._param_prims:
+                        nodes = index.setdefault(prim, [])
+                        if not nodes or nodes[-1] != node:
+                            nodes.append(node)
+            if not dependent:
+                template.set_node(node, self._rows(entries, p))
+        store.prims = tuple(index)
+        store.index = tuple(tuple(nodes) for nodes in index.values())
+        store.dynamic = tuple(dynamic)
+        store.template = template
+
+    def _own_nodes(self, p) -> None:
+        """This client's own nodes, among those with a key-varying
+        edge: the ones whose keys differ from the template builder's,
+        resolved for this client, and the ones whose steps depend on
+        the abstraction, left for :meth:`edge_table` to resolve."""
+        store = self.store
+        if store.template is None:
+            self._build_template(p)
+        table_key = self.semantics.table_key
+        fixed = []
+        params = []
+        for node, keyed in store.varying.items():
+            if all(table_key(command) == key for command, key in keyed):
+                entries = store.varying_params.get(node)
+                if entries is not None:
+                    params.append((node, entries))
+                continue
+            entries, dependent = self._entries(node, p)
+            if dependent:
+                params.append((node, entries))
+            else:
+                rows = self._rows(entries, p)
+                fixed.append((node, rows, _node_dispatch(node, rows)))
+        self._fixed = tuple(fixed)
+        self._params = tuple(params)
+
+    def _family_table(self, p) -> EdgeTable:
+        """The template with the shared parameter-dependent nodes
+        resolved under ``p``, derived from the family's last such table
+        by re-resolving only the nodes whose footprint changed: those
+        consulting a primitive whose value differs between the two
+        abstractions, and those of unknown footprint."""
+        store = self.store
+        last = store.last
+        if last is not None and last[0] == p:
+            return last[2]
+        holds = self.semantics.binding.theory.holds
+        values = tuple(holds(prim, p, None) for prim in store.prims)
+        if last is None:
+            table = store.template
+            nodes = sorted(store.params)
+        else:
+            table = last[2]
+            changed = set(store.dynamic)
+            for nodes_of, value, old in zip(store.index, values, last[1]):
+                if value != old:
+                    changed.update(nodes_of)
+            nodes = sorted(changed)
+        if nodes:
+            table = table.copy()
+            params = store.params
+            for node in nodes:
+                table.set_node(node, self._rows(params[node], p))
+        store.last = (p, values, table)
+        return table
+
+    def edge_table(self, p) -> EdgeTable:
+        """The edge table for abstraction ``p``: the family's table for
+        ``p`` with this client's own nodes put in.  Tables are never
+        changed once handed out, so results may keep them."""
+        if self._fixed is None:
+            self._own_nodes(p)
+        table = self._family_table(p)
+        if not (self._fixed or self._params):
+            return table
+        table = table.copy()
+        for node, rows, dispatch in self._fixed:
+            table.set_node(node, rows, dispatch)
+        rows_for = self._rows
+        for node, entries in self._params:
+            table.set_node(node, rows_for(entries, p))
+        return table
 
     def run(self, step, entry_state):
         semantics = getattr(step, "_semantics", None)
         if semantics is not self.semantics:
             return self.inner.run(step, entry_state)
-        p = step._p
-        prepared = self._prepared.get(p)
-        if prepared is None:
-            prepared = self._prepare(p)
-        codec, cache = prepared
+        codec = self.codec
         try:
             entry_bits = codec.encode(entry_state)
         except ValueError:
             return self.inner.run(step, entry_state)
-        entry_key = entry_bits << cache["shift"] | self.cfg.entry
-        seen = _run_encoded(cache, entry_key)
-        result = KernelResult(seen, cache, codec, self.cfg, entry_state)
+        table = self.edge_table(step._p)
+        seen = _run_encoded(table, entry_bits << table.shift | self.cfg.entry)
+        result = KernelResult(seen, table, codec, self.cfg, entry_state)
         if obs.active():
             obs.event(
                 "kernel_exec",

@@ -752,8 +752,8 @@ class CompiledCommand:
         table: its *parameter footprint* — the truth values of the
         parameter primitives the table consults — when known, else
         ``p`` itself.  Abstractions sharing a footprint share one
-        specialised step; the compiled bitset kernel keys its
-        per-command functions on the same value."""
+        specialised step; the compiled bitset kernel keys its lowered
+        steps on ``(table key, specialisation key)``."""
         prims = self._param_prims
         if prims is None:
             return p
@@ -988,8 +988,17 @@ class GuardedSemantics:
         keys, from this semantics or from a sibling sharing its
         compiled store, mean equal tables.  The default, the command
         itself, holds for any semantics whose tables read nothing but
-        the command."""
+        the command.  The compiled bitset kernel keys its lowered steps
+        on it too, so siblings share those as well."""
         return command
+
+    def key_varies_by_sibling(self, command) -> bool:
+        """Whether :meth:`table_key` of ``command`` may differ between
+        sibling semantics sharing this one's compiled store.  A
+        sibling's compiled engine starts from the family's edge table
+        and re-checks the keys of these commands only.  The default
+        (the key is the command) never varies."""
+        return False
 
     # -- dispatch ----------------------------------------------------------
 

@@ -116,17 +116,43 @@ class TracerClient:
         override this; see :mod:`repro.core.kernel`."""
         return None
 
+    #: The compiled engine's :class:`~repro.core.kernel.KernelStore`,
+    #: built on first use; a client family shares its first member's.
+    _kernel_store = None
+
+    def _shared_kernel_store(self):
+        """This client's kernel store (codec plus lowered steps),
+        created from :meth:`_kernel_codec` on first use, or ``None``
+        without a codec."""
+        store = self._kernel_store
+        if store is None:
+            codec = self._kernel_codec()
+            if codec is not None:
+                from repro.core.kernel import KernelStore
+
+                store = self._kernel_store = KernelStore(codec)
+        return store
+
+    def share_kernel_store(self, sibling: "TracerClient") -> None:
+        """Adopt ``sibling``'s kernel store, so the two clients share a
+        codec and lower each step once between them.  Sound when both
+        run over one CFG and their semantics share one compiled store
+        (the ``table_key`` contract), as a client family's do."""
+        self._kernel_store = sibling._shared_kernel_store()
+
     def use_engine(self, mode: str) -> str:
-        """Select the forward engine: ``"interpreted"`` (the client's
-        own engine, the default) or ``"compiled"`` (the bitset kernel
-        of :mod:`repro.core.kernel` wrapping it).
+        """Select the forward engine: ``"compiled"`` (the bitset kernel
+        of :mod:`repro.core.kernel` wrapping the client's own engine,
+        the :class:`TracerConfig` default) or ``"interpreted"`` (the
+        client's own engine, the reference the kernel is checked
+        against).
 
         Returns the mode actually in effect — a client without a
         kernel codec, or whose engine is not the intraprocedural
         collecting engine, silently stays interpreted (the two engines
         are bit-identical, so this is a pure performance decision).
         The kernel engine instance is memoized on the client, keeping
-        its compiled-step caches warm across switches."""
+        its tables warm across switches."""
         if mode not in ("interpreted", "compiled"):
             raise ValueError(f"unknown engine: {mode!r}")
         base = getattr(self, "_base_engine", None)
@@ -138,15 +164,15 @@ class TracerClient:
         if mode == "compiled":
             kernel = getattr(self, "_kernel_engine", None)
             if kernel is None:
-                codec = self._kernel_codec()
-                if codec is None or getattr(base, "cfg", None) is None:
+                store = None
+                if getattr(base, "cfg", None) is not None:
+                    store = self._shared_kernel_store()
+                if store is None:
                     kernel = False
                 else:
                     from repro.core.kernel import KernelEngine
 
-                    kernel = KernelEngine(
-                        base, codec, self.analysis.semantics
-                    )
+                    kernel = KernelEngine(base, store, self.analysis.semantics)
                 self._kernel_engine = kernel
             if kernel:
                 self.engine = kernel
@@ -307,10 +333,11 @@ class TracerConfig:
     k_min: int = 1
     strict: bool = True
     budget_check_every: int = 64
-    #: Forward engine: ``"interpreted"`` runs the client's own engine;
-    #: ``"compiled"`` selects the bitset kernel (bit-identical results;
-    #: clients without kernel support silently stay interpreted).
-    engine: str = "interpreted"
+    #: Forward engine: ``"compiled"`` runs the bitset kernel (clients
+    #: without kernel support silently stay interpreted);
+    #: ``"interpreted"`` runs the client's own engine, the reference the
+    #: kernel is checked against.  Results are bit-identical.
+    engine: str = "compiled"
 
 
 class ProgressError(RuntimeError):

@@ -112,11 +112,6 @@ class Group:
             )
         return 1 << (self.shift + index)
 
-    def local_code(self, value: object) -> int:
-        """The group's bit pattern for ``value`` before shifting —
-        the table index used by ``MapRead`` lowering."""
-        return self.value_bits(value) >> self.shift
-
     def test_bit(self, value: object) -> Tuple[int, bool]:
         """``(mask, expect_set)`` such that ``location == value`` holds
         iff ``bool(state & mask) == expect_set``.
@@ -191,10 +186,13 @@ class StateCodec:
     states are reference-identical across a run.
     """
 
-    __slots__ = ("layout", "_encode_memo", "_decode_memo")
+    __slots__ = ("layout", "lowered", "_encode_memo", "_decode_memo")
 
     def __init__(self, layout: BitsetLayout):
         self.layout = layout
+        #: Effects without parameter primitives, lowered once per codec
+        #: by the compiled kernel (``repro.core.kernel``).
+        self.lowered: Dict[object, object] = {}
         self._encode_memo: Dict[object, int] = {}
         self._decode_memo: Dict[int, object] = {}
 
@@ -236,18 +234,3 @@ class StateCodec:
         ``False`` — the kernel then falls back per-command rather than
         silently dropping a write."""
         return False
-
-    def narrow_key(self, p: object):
-        """Hashable identity of the layout this codec would use under
-        abstraction ``p`` — or ``None`` when the full layout is already
-        minimal for ``p``.  Codecs whose reachable states provably
-        shrink under a footprint (fewer live bits means smaller
-        integers and cheaper mask ops) override this together with
-        :meth:`narrow`; the kernel keys per-footprint sub-engines on
-        the returned value.  The default never narrows."""
-        return None
-
-    def narrow(self, p: object) -> "StateCodec":
-        """A fresh codec over the narrowed layout for ``p``; only
-        called when :meth:`narrow_key` returned a non-``None`` key."""
-        return self

@@ -16,6 +16,9 @@ from repro.escape.domain import VALUES, EscSchema, EscState
 
 __all__ = ["EscapeCodec"]
 
+#: A group's value by its code written as one octal digit.
+_BY_DIGIT = {str(1 << index): value for index, value in enumerate(VALUES)}
+
 
 class EscapeCodec(StateCodec):
     """Encodes ``EscState`` over a fixed schema.
@@ -25,7 +28,7 @@ class EscapeCodec(StateCodec):
     be constructed with the *client's* schema.
     """
 
-    __slots__ = ("schema", "_value_bits")
+    __slots__ = ("schema", "_value_bits", "_width")
 
     def __init__(self, schema: EscSchema):
         specs = [onehot_group(("var", name), VALUES) for name in schema.locals]
@@ -39,6 +42,7 @@ class EscapeCodec(StateCodec):
             {value: group.value_bits(value) for value in VALUES}
             for group in self.layout.groups
         )
+        self._width = len(self.layout.groups)
 
     def encode_state(self, state: EscState) -> int:
         bits = 0
@@ -47,10 +51,17 @@ class EscapeCodec(StateCodec):
         return bits
 
     def decode_state(self, bits: int) -> EscState:
-        return EscState(
-            self.schema,
-            tuple(group.decode(bits) for group in self.layout.groups),
-        )
+        # Every group is three bits wide at a multiple of three, so the
+        # word's octal digits, lowest first, are the groups' codes.
+        width = self._width
+        digits = format(bits, "o").zfill(width)[::-1] if bits else "0" * width
+        try:
+            values = tuple(map(_BY_DIGIT.__getitem__, digits))
+        except KeyError:
+            values = ()
+        if len(values) != width:
+            raise ValueError(f"non-canonical escape state bits {bits:#x}")
+        return EscState(self.schema, values)
 
     def safe_effect(self, effect, binding, p) -> bool:
         if isinstance(effect, Esc):

@@ -89,18 +89,6 @@ class ProvenanceCodec(StateCodec):
             return False
         raise KernelFallback(f"read of location outside layout: {location!r}")
 
-    def narrow_key(self, p: FrozenSet[str]):
-        """Under ``p`` every reachable site set stays inside
-        ``p & tracked``: surviving ``New`` rows bind only sites of
-        ``p``, ``AssignNull`` binds the empty set, and ``CopyVar`` only
-        copies — so the untracked has-bits are dead and the layout
-        shrinks to the footprint."""
-        key = frozenset(p) & self._tracked
-        return None if key == self._tracked else key
-
-    def narrow(self, p: FrozenSet[str]) -> "ProvenanceCodec":
-        return ProvenanceCodec(self.schema, frozenset(p) & self._tracked)
-
     def safe_effect(self, effect, binding, p: FrozenSet[str]) -> bool:
         if isinstance(effect, BindTop):
             return ("top", effect.lhs) in self.layout

@@ -265,6 +265,14 @@ class TypestateSemantics(GuardedSemantics):
             return (command, self._is_event(command))
         return command
 
+    def key_varies_by_sibling(self, command: AtomicCommand) -> bool:
+        """Every ``New``, and every call of an automaton method: the
+        only keys carrying a flag that differs between sites."""
+        return isinstance(command, New) or (
+            isinstance(command, Invoke)
+            and self.automaton.is_event(command.method)
+        )
+
     def table_for(self, command: AtomicCommand):
         if isinstance(command, New):
             if command.site == self.tracked_site:

@@ -76,11 +76,13 @@ class TypestateClient(TracerClient):
 
         The clients share what does not depend on the tracked site: one
         CFG (or procedure graph), one binding — and through it one
-        theory and cube universe —, one compiled-command store and one
-        backward wp memo, both keyed by
+        theory and cube universe —, one compiled-command store, one
+        backward wp memo and one compiled-kernel store (codec, lowered
+        steps and edge-table template), all keyed by
         :meth:`~repro.typestate.analysis.TypestateSemantics.table_key`.
-        Each keeps its own engine, forward-run cache key and cache
-        counters, and finds what a standalone client finds."""
+        The shared stores live as long as the clients do.  Each client
+        keeps its own engine, forward-run cache key and cache counters,
+        and finds what a standalone client finds."""
         if not sites:
             return []
         graph = program if isinstance(program, ProcGraph) else build_cfg(program)
@@ -99,6 +101,7 @@ class TypestateClient(TracerClient):
             client._assemble(program, engine_for(graph), analysis)
             if sibling is not None:
                 client.meta.share_wp_memo(sibling.meta)
+                client.share_kernel_store(sibling)
             clients.append(client)
         return clients
 
@@ -137,9 +140,9 @@ class TypestateClient(TracerClient):
         )
 
     def _kernel_codec(self):
-        """Bitset layout for ``use_engine("compiled")``: the error
-        flag, automaton-state bits, and one must-alias bit per
-        parameter-universe variable."""
+        """Bitset layout for the compiled engine: the error flag,
+        automaton-state bits, and one must-alias bit per
+        parameter-universe variable (one codec serves a family)."""
         return TypestateCodec(
             self.analysis.automaton, self.analysis.param_space.universe
         )

@@ -32,7 +32,7 @@ __all__ = ["TypestateCodec"]
 class TypestateCodec(StateCodec):
     """Encodes ``TsState``/``TOP`` over a fixed automaton + universe."""
 
-    __slots__ = ("_automaton", "_universe", "_err_bit", "_type_bit", "_var_bit")
+    __slots__ = ("_err_bit", "_type_bit", "_var_bit")
 
     def __init__(self, automaton: TypestateAutomaton, universe: Iterable[str]):
         states = tuple(sorted(automaton.states))
@@ -41,8 +41,6 @@ class TypestateCodec(StateCodec):
         specs.extend(bool_group(("type", s)) for s in states)
         specs.extend(bool_group(("var", v)) for v in variables)
         super().__init__(BitsetLayout(specs))
-        self._automaton = automaton
-        self._universe = frozenset(variables)
         layout = self.layout
         self._err_bit = layout.group(("err",)).mask
         self._type_bit = {s: layout.group(("type", s)).mask for s in states}
@@ -72,18 +70,6 @@ class TypestateCodec(StateCodec):
             # Must-alias sets stay inside the parameter universe.
             return False
         raise KernelFallback(f"read of location outside layout: {location!r}")
-
-    def narrow_key(self, p: FrozenSet[str]):
-        """Under ``p`` every reachable must-alias set stays inside
-        ``p``: ``Restart`` stores ``{lhs} & p``, ``Assign`` guards its
-        var write on ``TsParam(lhs)``, the drop rows clear, and event
-        rows touch only type/err bits — so var bits outside ``p`` are
-        dead and the layout shrinks to the footprint."""
-        key = frozenset(p) & self._universe
-        return None if key == self._universe else key
-
-    def narrow(self, p: FrozenSet[str]) -> "TypestateCodec":
-        return TypestateCodec(self._automaton, frozenset(p) & self._universe)
 
     def safe_effect(self, effect, binding, p: FrozenSet[str]) -> bool:
         if isinstance(effect, GoTop):
