@@ -84,9 +84,6 @@ EXIT_IMPOSSIBLE = 10
 EXIT_EXHAUSTED = 20
 EXIT_FAILED_UNITS = 30
 
-#: ``--engine`` choices; the default is ``TracerConfig.engine``.
-ENGINES = ("compiled", "interpreted")
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=_beam, default=5, metavar="K",
@@ -94,12 +91,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iterations", type=int, default=60)
     parser.add_argument("--narrate", action="store_true",
                         help="print the full Figure-1 style transcript")
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=TracerConfig.engine,
-        help="forward-phase engine: 'compiled' (the default) runs the "
-             "bitset kernel; 'interpreted' runs the reference interpreter "
-             "(bit-identical verdicts, slower)",
-    )
     _add_robust(parser)
     _add_journal(parser)
     _add_obs(parser)
@@ -188,7 +179,6 @@ def _config(args) -> TracerConfig:
         max_seconds=getattr(args, "max_seconds", None),
         max_steps=getattr(args, "max_steps", None),
         strict=not getattr(args, "lenient", False),
-        engine=getattr(args, "engine", TracerConfig.engine),
     )
 
 
@@ -488,11 +478,7 @@ def _cmd_eval(args) -> int:
         clause_bus=not args.no_clause_bus,
     )
 
-    config = TracerConfig(
-        k=args.k,
-        max_iterations=30,
-        engine=getattr(args, "engine", TracerConfig.engine),
-    )
+    config = TracerConfig(k=args.k, max_iterations=30)
 
     def run():
         # With worker processes the plan ships inside ``options``; on
@@ -750,7 +736,6 @@ def _cmd_serve(args) -> int:
         max_iterations=args.max_iterations,
         max_seconds=args.max_seconds,
         max_steps=args.max_steps,
-        engine=args.engine,
     )
     try:
         server = AnalysisServer(
@@ -1022,11 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluation.add_argument("--k", type=_beam, default=5, metavar="K")
     evaluation.add_argument(
-        "--engine", choices=ENGINES, default=TracerConfig.engine,
-        help="forward-phase engine for every workload: 'compiled' (the "
-             "default) or 'interpreted' (see solve-* --engine)",
-    )
-    evaluation.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="fan independent workloads across N worker processes",
     )
@@ -1132,11 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--k", type=_beam, default=5, metavar="K")
     serve.add_argument("--max-iterations", type=int, default=60)
-    serve.add_argument(
-        "--engine", choices=ENGINES, default=TracerConfig.engine,
-        help="forward-phase engine: 'compiled' (the default) or "
-             "'interpreted' (see solve-* --engine)",
-    )
     serve.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
         help="per-request wall-clock ceiling (requests may tighten it, "

@@ -33,7 +33,9 @@ from __future__ import annotations
 import inspect
 import itertools
 import time
+import types
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -491,17 +493,32 @@ class Tracer:
         )
 
 
+#: ``_cache_aware``'s answer per ``counterexamples`` function: every
+#: client bound to one function has the same signature.
+_CACHE_AWARE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _cache_aware(client: TracerClient) -> bool:
     """Whether the client's ``counterexamples`` accepts a ``cache``
-    argument (clients predating the forward-run cache may not).
+    argument (clients predating the forward-run cache may not).  A
+    bound method is inspected once per function; a callable set on the
+    instance is inspected on every call.
 
     The two-argument signature is deprecated: it silently opts the
     client out of forward-run caching.  Accept a ``cache`` keyword (and
     ignore it if you must) instead."""
-    try:
-        aware = "cache" in inspect.signature(client.counterexamples).parameters
-    except (TypeError, ValueError):
-        aware = False
+    counterexamples = client.counterexamples
+    func = getattr(counterexamples, "__func__", None)
+    if not isinstance(func, types.FunctionType):
+        func = None
+    aware = _CACHE_AWARE.get(func) if func is not None else None
+    if aware is None:
+        try:
+            aware = "cache" in inspect.signature(counterexamples).parameters
+        except (TypeError, ValueError):
+            aware = False
+        if func is not None:
+            _CACHE_AWARE[func] = aware
     if not aware:
         warnings.warn(
             "TracerClient.counterexamples without a 'cache' parameter is "

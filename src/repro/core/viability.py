@@ -26,7 +26,15 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.formula import Cube, Dnf, Theory, evaluate_literal
+from repro.core.lru import LruCache
 from repro.core.minsat import Clause, MinCostSat
+
+#: MinCostSAT answers per exact clause sequence.  The solver runs with
+#: default costs and a deterministic search order, so its answer is a
+#: function of the sequence; replayed searches re-solve the same few
+#: sequences over and over.  Holds clauses and results only.
+_MINIMA = LruCache(1024)
+_UNSOLVED = object()
 
 
 class ParamTheory(Theory):
@@ -149,7 +157,12 @@ class ViabilityStore:
         viable set is empty (the query is impossible to prove)."""
         if self._impossible:
             return None
-        return self._solver().solve()
+        key = tuple(self._clauses)
+        minimum = _MINIMA.get(key, _UNSOLVED)
+        if minimum is _UNSOLVED:
+            minimum = self._solver().solve()
+            _MINIMA.put(key, minimum)
+        return minimum
 
     def excludes(self, p: FrozenSet[object]) -> bool:
         """Whether abstraction ``p`` is already eliminated — used to

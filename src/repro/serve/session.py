@@ -39,6 +39,7 @@ Warm-start protocol of :meth:`solve` (see also
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -159,6 +160,12 @@ class AnalysisSession:
         self._setups: Dict[Tuple[str, str], list] = {}
         #: Built text-program clients by (kind, text, params).
         self._clients: Dict[Tuple, tuple] = {}
+        #: ``(describe_client, program_digest)`` per client object.  AST
+        #: nodes are frozen and a client's parameter space, automaton,
+        #: tracked site and schema are fixed when it is built, so the
+        #: store key cannot change while the client lives; the entry
+        #: dies with it.
+        self._store_keys = weakref.WeakKeyDictionary()
         #: Digests this session has already opened (for the
         #: ``session_opened`` lifecycle event).
         self._digests: set = set()
@@ -345,8 +352,7 @@ class AnalysisSession:
         entry: Optional[dict] = None
         mode = "cold"
         if store is not None and not resuming:
-            info = describe_client(client)
-            digest = program_digest(client.program, info)
+            info, digest = self._store_key(client)
             if digest not in self._digests:
                 self._digests.add(digest)
                 self.stats["programs_opened"] += 1
@@ -472,6 +478,16 @@ class AnalysisSession:
 
     # -- internals ------------------------------------------------------------
 
+    def _store_key(self, client) -> Tuple[dict, str]:
+        """The client's fingerprint and store digest, computed once per
+        client object (the canonical program text is rendered once)."""
+        key = self._store_keys.get(client)
+        if key is None:
+            info = describe_client(client)
+            key = (info, program_digest(client.program, info))
+            self._store_keys[client] = key
+        return key
+
     def _validated_seed(
         self, client, queries, seed: dict, config: TracerConfig
     ) -> Tuple[Dict[str, list], int, int]:
@@ -556,7 +572,7 @@ class AnalysisSession:
         self.store.record(
             digest,
             source,
-            describe_client(client),
+            self._store_key(client)[0],
             ckey,
             query_ids,
             collector.rounds,

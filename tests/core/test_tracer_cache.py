@@ -28,9 +28,9 @@ observe qb
 """
 
 
-def two_query_client():
+def two_query_client(cls=EscapeClient):
     program = parse_program(TWO_QUERY_PROGRAM)
-    client = EscapeClient(program, EscSchema(["u", "w"], []), frozenset({"h1"}))
+    client = cls(program, EscSchema(["u", "w"], []), frozenset({"h1"}))
     return client, EscapeQuery("qa", "u"), EscapeQuery("qb", "w")
 
 
@@ -235,6 +235,61 @@ class TestCacheAwareDetection:
         client.counterexamples = Odd()
         with pytest.warns(DeprecationWarning):
             assert tracer_mod._cache_aware(client) is False
+
+
+class TestCacheAwareMemo:
+    """``_cache_aware`` inspects each ``counterexamples`` function once;
+    callables set on an instance are inspected on every call."""
+
+    @staticmethod
+    def _count_signatures(monkeypatch):
+        calls = []
+        real = tracer_mod.inspect.signature
+
+        def counting(obj, *args, **kwargs):
+            calls.append(obj)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(tracer_mod.inspect, "signature", counting)
+        return calls
+
+    def test_bound_method_is_inspected_once_per_function(self, monkeypatch):
+        class Aware(EscapeClient):
+            def counterexamples(self, queries, p, cache=None):
+                return super().counterexamples(queries, p, cache=cache)
+
+        clients = [two_query_client(Aware)[0] for _ in range(2)]
+        calls = self._count_signatures(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            for client in clients * 3:
+                assert tracer_mod._cache_aware(client) is True
+        assert len(calls) == 1
+
+    def test_legacy_method_is_inspected_once_and_warns_every_call(
+        self, monkeypatch
+    ):
+        class Legacy(EscapeClient):
+            def counterexamples(self, queries, p):
+                return super().counterexamples(queries, p)
+
+        clients = [two_query_client(Legacy)[0] for _ in range(2)]
+        calls = self._count_signatures(monkeypatch)
+        for client in clients * 2:
+            with pytest.warns(DeprecationWarning, match="'cache' parameter"):
+                assert tracer_mod._cache_aware(client) is False
+        assert len(calls) == 1
+
+    def test_instance_callable_is_inspected_every_call(self, monkeypatch):
+        client, _qa, _qb = two_query_client()
+        calls = self._count_signatures(monkeypatch)
+        client.counterexamples = lambda queries, p, cache=None: {}
+        assert tracer_mod._cache_aware(client) is True
+        assert tracer_mod._cache_aware(client) is True
+        client.counterexamples = lambda queries, p: {}
+        with pytest.warns(DeprecationWarning):
+            assert tracer_mod._cache_aware(client) is False
+        assert len(calls) == 3
 
 
 class TestChargeConservation:

@@ -1,6 +1,12 @@
 """Tests for the viable-abstraction constraint store."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.core.viability as viability_mod
 from repro.core.formula import Dnf, Literal, to_dnf, conj, disj, lit, nlit
+from repro.core.lru import LruCache
+from repro.core.minsat import MinCostSat, SolverBudgetExceeded
 from repro.core.viability import ViabilityStore
 from tests.toys import TOY, ParamFact, StateFact
 
@@ -78,3 +84,67 @@ class TestClauseExtraction:
         )
         assert store.excludes(frozenset({"x", "y"}))
         assert not store.excludes(frozenset({"x"}))
+
+
+def _fresh_minimum(clauses):
+    solver = MinCostSat()
+    for clause in clauses:
+        solver.add_clause(clause)
+    return solver.solve()
+
+
+# Small clause lists over 4 variables: duplicates, tautologies
+# ((v, True) and (v, False) together) and the empty clause all occur.
+_literals = st.tuples(st.integers(0, 3), st.booleans())
+_clause_lists = st.lists(
+    st.frozensets(_literals, max_size=3), min_size=0, max_size=7
+)
+
+
+class TestMinimumMemo:
+    """``choose_minimum`` memoises MinCostSAT per exact clause sequence;
+    the memo must answer exactly what a fresh solve answers."""
+
+    @given(st.lists(_clause_lists, min_size=1, max_size=3), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_fresh_solve_interleaved_across_stores(
+        self, clause_lists, rng
+    ):
+        stores = [ViabilityStore(TOY, D_INIT) for _ in clause_lists]
+        steps = [i for i, clauses in enumerate(clause_lists) for _ in clauses]
+        rng.shuffle(steps)
+        applied = [0] * len(stores)
+        for i in steps + list(range(len(stores))):
+            clauses = clause_lists[i]
+            if applied[i] < len(clauses):
+                stores[i].add_clauses([clauses[applied[i]]])
+                applied[i] += 1
+            expected = _fresh_minimum(clauses[: applied[i]])
+            assert stores[i].choose_minimum() == expected
+            assert stores[i].choose_minimum() == expected
+
+    def test_budget_overrun_is_never_memoised(self, monkeypatch):
+        monkeypatch.setattr(viability_mod, "_MINIMA", LruCache(8))
+        store = ViabilityStore(TOY, D_INIT)
+        # No unit clauses: the solver must branch past its 1-node budget.
+        store.add_clauses(
+            [frozenset({("x", True), ("y", True)}),
+             frozenset({("y", False), ("z", True)})]
+        )
+        monkeypatch.setattr(
+            viability_mod, "MinCostSat", lambda: MinCostSat(max_nodes=1)
+        )
+        for _ in range(3):
+            with pytest.raises(SolverBudgetExceeded):
+                store.choose_minimum()
+        assert len(viability_mod._MINIMA) == 0
+        monkeypatch.setattr(viability_mod, "MinCostSat", MinCostSat)
+        assert store.choose_minimum() == _fresh_minimum(store.clauses)
+
+    def test_impossible_store_answers_before_the_memo(self, monkeypatch):
+        memo = LruCache(8)
+        monkeypatch.setattr(viability_mod, "_MINIMA", memo)
+        store = ViabilityStore(TOY, D_INIT)
+        store.add_failure_condition(_dnf(lit(StateFact("a"))))
+        assert store.choose_minimum() is None
+        assert memo.hits == memo.misses == len(memo) == 0

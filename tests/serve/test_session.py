@@ -3,17 +3,20 @@ bit-identical to cold ones) across all three bundled clients, the
 clause tier on edited programs, stale-entry fallback, and journal
 precedence."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+import repro.serve.store as store_mod
 from repro.core.tracer import TracerConfig
 from repro.escape.client import EscapeQuery
 from repro.provenance.client import ProvenanceQuery
 from repro.robust.certify import CertificateStore
 from repro.robust.journal import SearchJournal
 from repro.serve.session import AnalysisSession, describe_client
-from repro.serve.store import KnowledgeStore
+from repro.serve.store import KnowledgeStore, config_key, program_digest
 from repro.typestate.client import TypestateQuery
 
 CONFIG = TracerConfig(k=5, max_iterations=30)
@@ -210,8 +213,6 @@ class TestStaleEntries:
             client, queries = _typestate(session)
             session.solve(client, queries, CONFIG, source="test:prog")
             digest = describe_client(client)
-            from repro.serve.store import config_key, program_digest
-
             entry = store.lookup(
                 program_digest(client.program, digest),
                 config_key(CONFIG),
@@ -283,3 +284,129 @@ class TestSessionMemos:
         assert first[0] is second[0]
         third = session.typestate_client(TYPESTATE_TEXT + "z = new Sock\n")
         assert third[0] is not first[0]
+
+
+class TestStoreKeyMemo:
+    """A client's store key is computed once per client object and dies
+    with the client."""
+
+    KEYS = (("tsp", "typestate"), ("tsp", "escape"), ("elevator", "typestate"))
+
+    def test_program_is_rendered_once_per_client(self, tmp_path, monkeypatch):
+        rendered = []
+        real = store_mod.canonical_program_text
+
+        def counting(program):
+            rendered.append(program)
+            return real(program)
+
+        monkeypatch.setattr(store_mod, "canonical_program_text", counting)
+        with KnowledgeStore(str(tmp_path / "store.jsonl")) as store:
+            session = AnalysisSession(store=store)
+            modes = []
+            for _pass in range(2):
+                for name, analysis in self.KEYS:
+                    out = session.solve_benchmark(name, analysis, CONFIG)
+                    modes.extend(result.mode for _i, _q, result in out)
+            clients = [
+                client
+                for name, analysis in self.KEYS
+                for client, queries in session.client_setups(
+                    session.prepare(name), analysis
+                )
+                if queries
+            ]
+        units = len(modes) // 2
+        assert modes == ["cold"] * units + ["replay"] * units
+        assert len(clients) == units
+        assert len(rendered) == units
+        digests = set()
+        for client in clients:
+            info, digest = session._store_keys[client]
+            assert info == describe_client(client)
+            assert digest == program_digest(client.program, info)
+            digests.add(digest)
+        assert len(digests) == units
+
+    def test_entry_dies_with_the_client(self, tmp_path):
+        with KnowledgeStore(str(tmp_path / "store.jsonl")) as store:
+            session = AnalysisSession(store=store)
+            # Built outside the session, so nothing resident keeps it.
+            client, queries = _typestate(AnalysisSession())
+            session.solve(client, queries, CONFIG, source="test:prog")
+            assert session.solve(
+                client, queries, CONFIG, source="test:prog"
+            ).mode == "replay"
+            assert len(session._store_keys) == 1
+            ref = weakref.ref(client)
+            del client
+            gc.collect()
+            assert ref() is None
+            assert len(session._store_keys) == 0
+
+
+def _tamper_abstraction(entry) -> bool:
+    """Change the recorded abstraction of the last ``ok`` round after
+    the first."""
+    for rec in reversed(entry["rounds"]):
+        if rec.get("outcome") == "ok" and rec["round"] > 1:
+            recorded = set(rec["abstraction"])
+            rec["abstraction"] = sorted(recorded ^ {"bogus"})
+            return True
+    return False
+
+
+def _drop_survivor_clauses(entry) -> bool:
+    """Empty the clauses of the last survivor that learned some."""
+    for rec in reversed(entry["rounds"]):
+        for survivor in rec.get("survivors", []):
+            if survivor.get("outcome") == "clauses" and survivor["clauses"]:
+                survivor["clauses"] = []
+                return True
+    return False
+
+
+class TestTamperAfterWarm:
+    """A tampered entry is caught by the per-round checks even when a
+    good replay of the same entry has already filled every memo."""
+
+    @pytest.mark.parametrize(
+        "tamper", [_tamper_abstraction, _drop_survivor_clauses]
+    )
+    def test_tampered_entry_goes_stale_in_a_warm_session(
+        self, tmp_path, tamper
+    ):
+        name, analysis = "tsp", "escape"
+
+        def solve(session):
+            return [
+                (result.mode, {
+                    str(q): (r.status.value, r.iterations, r.abstraction)
+                    for q, r in result.records.items()
+                })
+                for _i, _q, result in session.solve_benchmark(
+                    name, analysis, CONFIG
+                )
+            ]
+
+        ((_mode, oracle),) = solve(AnalysisSession())
+        with KnowledgeStore(str(tmp_path / "store.jsonl")) as store:
+            session = AnalysisSession(store=store)
+            assert [m for m, _v in solve(session)] == ["cold"]
+            assert solve(session) == [("replay", oracle)]
+            ((client, queries),) = session.client_setups(
+                session.prepare(name), analysis
+            )
+            key = (
+                session._store_keys[client][1],
+                config_key(CONFIG),
+                [str(q) for q in queries],
+            )
+            entry = store.lookup(*key)
+            assert tamper(entry)
+            assert solve(session) == [("stale", oracle)]
+            assert session.stats["stale_entries"] == 1
+            # The tampered entry is forgotten; the cold re-run recorded
+            # a good one, which the next read replays.
+            assert store.lookup(*key) is not entry
+            assert solve(session) == [("replay", oracle)]

@@ -152,7 +152,8 @@ class TestCrashTolerance:
         with KnowledgeStore(path) as store:
             store.record(**_entry_args("a" * 64))
             store.record(**_entry_args("b" * 64))
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         lines[1] = lines[1][: len(lines[1]) // 2]  # damage a middle line
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -104,7 +104,8 @@ class TestCompaction:
         store.record(**_args(_digest("a")))
         store.record(**_args(_digest("b")))
         store.close()
-        lines = open(path, "rb").read().splitlines(keepends=True)
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
         lines[1] = b'{"type": "entry", TORN\n'
         with open(path, "wb") as handle:
             handle.writelines(lines)
@@ -192,7 +193,8 @@ class TestVerify:
         store.record(**_args(_digest("a")))
         store.record(**_args(_digest("b")))
         store.close()
-        lines = open(path, "rb").read().splitlines(keepends=True)
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
         lines[1] = b"garbage not json\n"
         with open(path, "wb") as handle:
             handle.writelines(lines)
@@ -204,7 +206,8 @@ class TestVerify:
         store = KnowledgeStore(path)
         store.record(**_args(_digest("a")))
         store.close()
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         entry = json.loads(lines[1])
         entry["results"]["typestate:check1"]["verdict"] = "impossible"
         lines[1] = json.dumps(entry, sort_keys=True)
@@ -218,7 +221,8 @@ class TestVerify:
         store = KnowledgeStore(path)
         store.record(**_args(_digest("a")))
         store.close()
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         entry = json.loads(lines[1])
         del entry["sha256"]
         lines[1] = json.dumps(entry, sort_keys=True)
