@@ -605,17 +605,20 @@ class CubeUniverse:
         an order the DNFs themselves fix, so neither the result nor the
         peak depends on the order of ``And``/``Or`` arguments."""
         # Interning first keeps every Info computed below up to date.
-        self._intern_literals(formula)
+        self.intern(formula)
         peak = [0]
         cubes = self._dnf(formula, max_cubes, peak)
         return cubes, peak[0]
 
-    def _intern_literals(self, formula: Formula) -> None:
+    def intern(self, formula: Formula) -> None:
+        """Intern every literal of ``formula``.  Interning may move the
+        :attr:`epoch`, so callers that compute :data:`Info` for several
+        formulas intern them all first."""
         if isinstance(formula, Lit):
             self.bit_of(formula.literal)
         elif isinstance(formula, (And, Or)):
             for arg in formula.args:
-                self._intern_literals(arg)
+                self.intern(arg)
 
     def _dnf(self, formula: Formula, max_cubes: Optional[int], peak: List[int]) -> Dict[int, Info]:
         if isinstance(formula, Lit):
@@ -633,19 +636,71 @@ class CubeUniverse:
             return out
         if isinstance(formula, And):
             parts = [self._dnf(arg, max_cubes, peak) for arg in formula.args]
-            key = self._cube_key()
-            # Parts of at most one cube never grow the product, so their
-            # order among themselves does not matter.
-            parts.sort(
-                key=lambda part: (len(part), sorted(map(key, part)) if len(part) > 1 else [])
-            )
-            acc: Dict[int, Info] = {0: _TRUE_INFO}
-            for part in parts:
-                acc = self.conjoin(acc, part)
-                peak[0] = max(peak[0], len(acc))
-                _check_budget(len(acc), max_cubes)
-            return acc
+            return self._product(parts, max_cubes, peak)
         raise TypeError(f"not a formula: {formula!r}")
+
+    def _product(
+        self, parts: List[Dict[int, Info]], max_cubes: Optional[int], peak: List[int]
+    ) -> Dict[int, Info]:
+        """The conjunction of the DNFs ``parts``, multiplied smallest
+        first, in an order the DNFs themselves fix."""
+        key = self._cube_key()
+        # Parts of at most one cube never grow the product, so their
+        # order among themselves does not matter.
+        parts.sort(
+            key=lambda part: (len(part), sorted(map(key, part)) if len(part) > 1 else [])
+        )
+        acc: Dict[int, Info] = {0: _TRUE_INFO}
+        for part in parts:
+            acc = self.conjoin(acc, part)
+            peak[0] = max(peak[0], len(acc))
+            _check_budget(len(acc), max_cubes)
+        return acc
+
+    def relower(
+        self, cubes: Sequence[int], positive: bool, max_cubes: Optional[int] = None
+    ) -> Tuple[Dict[int, Info], int]:
+        """The sorted, simplified DNF ``cubes`` (``positive``) or its
+        negation, and the peak: what :meth:`dnf` returns for the lifted
+        formula (:meth:`Dnf.to_formula`) or its :func:`neg`, computed on
+        the masks.
+
+        The formula of several cubes is an ``Or`` whose live count grows
+        to the cube count; one cube of several literals is an ``And``
+        live at one cube; a literal, ``true`` and ``false`` count none.
+        The negation turns each cube into a clause, the union of its
+        negated literals' units, and multiplies the clauses as
+        :meth:`dnf` multiplies conjuncts.  Raises
+        :class:`FormulaExplosion` as :meth:`dnf` would."""
+        if positive:
+            if len(cubes) > 1:
+                peak = len(cubes)
+            elif cubes and cubes[0] & (cubes[0] - 1):
+                peak = 1
+            else:
+                peak = 0
+            _check_budget(peak, max_cubes)
+            return {mask: self.info(mask) for mask in cubes}, peak
+        if not cubes:
+            return {0: _TRUE_INFO}, 0
+        if not cubes[0]:
+            return {}, 0
+        peak = [0]
+        parts = []
+        for cube in cubes:
+            bits = mask_bits(cube)
+            if len(bits) == 1:
+                parts.append(self.unit(bits[0] ^ 1))
+                continue
+            clause: Dict[int, Info] = {}
+            for bit in bits:
+                clause.update(self.unit(bit ^ 1))
+                peak[0] = max(peak[0], len(clause))
+                _check_budget(len(clause), max_cubes)
+            parts.append(clause)
+        if len(parts) == 1:
+            return parts[0], peak[0]
+        return self._product(parts, max_cubes, peak), peak[0]
 
     def substitute(
         self,
@@ -711,6 +766,32 @@ class CubeUniverse:
             else:
                 kept.append(mask)
         return kept
+
+    def merge(self, ordered: List[int]) -> List[int]:
+        """:func:`merge_cubes` on a sorted, simplified mask DNF.  A
+        merge needs cubes sharing a rest whose other literals exhaust,
+        which is rare, so the masks are only scanned for such a rest;
+        the frozenset merge runs when one exists."""
+        cubes = set(ordered)
+        by_rest: Dict[int, int] = {}
+        for mask in ordered:
+            bits = mask
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                rest = mask ^ low
+                by_rest[rest] = by_rest.get(rest, 0) | low
+        literals = self.literals
+        exhaust = self.theory.literals_exhaust
+        for rest, bits in by_rest.items():
+            if (
+                bits & (bits - 1)
+                and rest not in cubes
+                and exhaust(frozenset([literals[bit] for bit in mask_bits(bits)]))
+            ):
+                merged = merge_cubes(self.lift_dnf(ordered), self.theory)
+                return [self.lower(cube) for cube in merged.cubes]
+        return ordered
 
     def evaluator(self, p: object, d: object) -> Callable[[int], bool]:
         """Whether a cube holds at ``(p, d)``, asking the theory at most

@@ -27,16 +27,18 @@ bit-mask cubes (:class:`~repro.core.formula.CubeUniverse`), with each
 ``wp(prim)`` and ``not wp(prim)`` lowered to a mask DNF once per
 (table key, literal) beside the wp memo, and each command's sorted,
 simplified cube product kept there per input condition
-(:meth:`BackwardMetaAnalysis.wp_step`).  Sibling metas over one theory
-may share the memo (:meth:`BackwardMetaAnalysis.share_wp_memo`).
+(:meth:`BackwardMetaAnalysis.wp_step`).  A meta derived from case
+tables (:class:`SemanticsMeta`) lowers a literal whose location the
+command never writes to itself, and derives the others straight to
+masks.  Sibling metas over one theory may share the memo
+(:meth:`BackwardMetaAnalysis.share_wp_memo`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.formula import (
     CubeUniverse,
@@ -56,6 +58,7 @@ from repro.core.formula import (
 )
 from repro.core.lru import LruCache
 from repro.core.parametric import ParametricAnalysis
+from repro.core.semantics import CompiledCommand
 from repro.lang.ast import AtomicCommand, Trace
 from repro.obs import metrics as obs_metrics
 from repro.robust import budget as robust_budget
@@ -87,6 +90,15 @@ class BackwardMetaAnalysis:
         ``gamma(wp(prim)) = {(p, d) | (p, [[command]]p(d)) in gamma(prim)}``.
         """
         raise NotImplementedError
+
+    def compiled(self, command: AtomicCommand) -> Optional[CompiledCommand]:
+        """``command``'s compiled case table when this meta derives its
+        weakest preconditions from one (:class:`SemanticsMeta`).  The
+        backward pass then lowers a literal of a location the table
+        never writes to itself, and derives the others on masks.
+        ``None``, the default for hand-written metas, lowers every
+        literal through :meth:`wp_primitive`."""
+        return None
 
     #: Bound on the wp memo, in table keys; eviction is LRU, one key
     #: at a time.
@@ -225,11 +237,15 @@ class BackwardMetaAnalysis:
         missing = literals & ~record.lowered
         if missing:
             universe = self.theory.universe()
+            compiled = record.compiled
             for bit in mask_bits(missing):
-                literal = universe.literals[bit]
-                formula = self._wp_formula(record, command, literal.prim)
-                pre = formula if literal.positive else neg(formula)
-                factor, peak = universe.dnf(pre, max_cubes)
+                if compiled is None:
+                    literal = universe.literals[bit]
+                    formula = self._wp_formula(record, command, literal.prim)
+                    pre = formula if literal.positive else neg(formula)
+                    factor, peak = universe.dnf(pre, max_cubes)
+                else:
+                    factor, peak = self._derived(record, universe, bit, max_cubes)
                 record.lowered |= 1 << bit
                 # Only the literals the command changes keep a DNF: the
                 # rest map to themselves.
@@ -238,6 +254,36 @@ class BackwardMetaAnalysis:
                     record.changed |= 1 << bit
         self.wp_hits += bin(literals ^ missing).count("1")
         return literals & record.changed
+
+    def _derived(
+        self,
+        record: "_CommandWp",
+        universe: CubeUniverse,
+        bit: int,
+        max_cubes: Optional[int],
+    ) -> Tuple[Dict[int, Info], int]:
+        """The lowered DNF of literal ``bit``, and its peak, from
+        ``record``'s compiled table: the literal's unit when the
+        command writes no location of it, else its primitive's derived
+        masks (:meth:`~repro.core.semantics.CompiledCommand.wp_masks`,
+        kept in ``record``) or their negation.  Counts a memo miss for
+        the first literal of each primitive, a hit for the second, as
+        :meth:`_wp_formula` does."""
+        positive = bit & ~1
+        if record.seen >> positive & 1:
+            self.wp_hits += 1
+        else:
+            self.wp_misses += 1
+            record.seen |= 1 << positive
+        compiled = record.compiled
+        literal = universe.literals[bit]
+        location = compiled.binding.location_of(literal.prim)
+        if location is None or not compiled.writes(location):
+            return universe.unit(bit), 0
+        masks = record.derived.get(positive)
+        if masks is None:
+            masks = record.derived[positive] = compiled.wp_masks(literal.prim)
+        return universe.relower(masks, literal.positive, max_cubes)
 
     def _refresh(self, record: "_CommandWp") -> CubeUniverse:
         """Bring ``record`` up to the universe's epoch: recompute its
@@ -278,7 +324,7 @@ class BackwardMetaAnalysis:
         key = self.table_key(command)
         record = cache.get(key)
         if record is None:
-            record = _CommandWp()
+            record = _CommandWp(self.compiled(command))
             cache.put(key, record)
         return record
 
@@ -293,15 +339,35 @@ class BackwardMetaAnalysis:
 
 
 class _CommandWp:
-    """The wp memo entry of one command: each primitive's wp formula,
-    the lowered mask DNF, with the peak cube count of its conversion,
-    of each literal the command changes, and the cube products of
+    """The wp memo entry of one command: its compiled table, if any;
+    each primitive's wp, as a formula (:meth:`wp_primitive`) or as
+    derived masks (the compiled table's
+    :meth:`~repro.core.semantics.CompiledCommand.wp_masks`); the
+    lowered mask DNF, with the peak cube count of its conversion, of
+    each literal the command changes; and the cube products of
     :meth:`BackwardMetaAnalysis.wp_step`."""
 
-    __slots__ = ("formulas", "factors", "lowered", "changed", "products", "epoch")
+    __slots__ = (
+        "compiled",
+        "formulas",
+        "seen",
+        "derived",
+        "factors",
+        "lowered",
+        "changed",
+        "products",
+        "epoch",
+    )
 
-    def __init__(self):
+    def __init__(self, compiled: Optional[CompiledCommand]):
+        #: The table the literals are derived from, or ``None``: every
+        #: literal goes through ``wp_primitive`` and ``formulas``.
+        self.compiled = compiled
         self.formulas: Dict[object, Formula] = {}
+        #: The positive-literal bits of the primitives met so far, and
+        #: the derived masks of those the command writes, by that bit.
+        self.seen = 0
+        self.derived: Dict[int, Tuple[int, ...]] = {}
         #: bit -> (mask DNF, peak)
         self.factors: Dict[int, Tuple[Dict[int, Info], int]] = {}
         #: The literals lowered so far, and those among them the
@@ -317,30 +383,125 @@ class _CommandWp:
         self.epoch = 0
 
 
+class SemanticsMeta(BackwardMetaAnalysis):
+    """A meta whose weakest preconditions are derived from its
+    analysis's case tables (:class:`~repro.core.semantics.GuardedSemantics`),
+    so requirement (2) holds by construction.  The wp memo is keyed
+    like the compiled store, by the semantics' ``table_key``, and a
+    literal is derived only where its command writes (:meth:`compiled`)."""
 
-@dataclass
+    def __init__(self, analysis):
+        self.analysis = analysis
+        self.theory = analysis.semantics.binding.theory
+
+    def table_key(self, command: AtomicCommand) -> Hashable:
+        return self.analysis.semantics.table_key(command)
+
+    def wp_primitive(self, command: AtomicCommand, prim) -> Formula:
+        return self.analysis.semantics.wp_primitive(command, prim)
+
+    def compiled(self, command: AtomicCommand) -> Optional[CompiledCommand]:
+        if type(self).wp_primitive is not SemanticsMeta.wp_primitive:
+            # A subclass with its own weakest preconditions is
+            # hand-written: every literal goes through them.
+            return None
+        return self.analysis.semantics.compiled(command)
+
+
 class MetaResult:
-    """The outcome of one backward pass over a counterexample trace."""
+    """The outcome of one backward pass over a counterexample trace.
 
-    condition: Dnf
-    """``B[t](p, dI, not(q))`` — sufficient condition for failure."""
+    A pass of :func:`backward_trace` keeps its backward states as mask
+    cubes and lifts only ``condition``; :attr:`intermediate` is lifted
+    on first access."""
 
-    intermediate: Tuple[Dnf, ...]
-    """Backward states at every trace point, ``intermediate[i]`` holding
-    before command ``i`` (so ``intermediate[0]`` is ``condition`` and
-    ``intermediate[-1]`` is the normalised post-condition)."""
+    __slots__ = (
+        "condition",
+        "max_disjuncts",
+        "subsumption_drops",
+        "beam_prunes",
+        "_intermediate",
+        "_steps",
+        "_lifted",
+        "_universe",
+    )
 
-    max_disjuncts: int
-    """Largest number of disjuncts in any *tracked* (post-``approx``)
-    formula — the formula-compactness statistic Figure 6 is about."""
+    def __init__(
+        self,
+        condition: Dnf,
+        intermediate: Optional[Tuple[Dnf, ...]] = None,
+        max_disjuncts: int = 0,
+        subsumption_drops: int = 0,
+        beam_prunes: int = 0,
+        *,
+        steps: Optional[Tuple[Tuple[int, ...], ...]] = None,
+        lifted: Optional[Dict[Tuple[int, ...], Dnf]] = None,
+        universe: Optional[CubeUniverse] = None,
+    ):
+        #: ``B[t](p, dI, not(q))`` — sufficient condition for failure.
+        self.condition = condition
+        #: Largest number of disjuncts in any *tracked* (post-``approx``)
+        #: formula — the formula-compactness statistic Figure 6 is about.
+        self.max_disjuncts = max_disjuncts
+        #: Cubes removed by ``simplify`` (subsumption/merging) over the
+        #: whole backward pass — how much work the normalisation saved.
+        self.subsumption_drops = subsumption_drops
+        #: Cubes removed by the ``drop_k`` beam over the whole pass — how
+        #: aggressively the under-approximation narrowed the formula.
+        self.beam_prunes = beam_prunes
+        self._intermediate = intermediate
+        #: The backward states as mask cubes on ``universe``, in
+        #: ``intermediate`` order, and those already lifted.
+        self._steps = steps
+        self._lifted = lifted
+        self._universe = universe
 
-    subsumption_drops: int = 0
-    """Cubes removed by ``simplify`` (subsumption/merging) over the
-    whole backward pass — how much work the normalisation saved."""
+    @property
+    def intermediate(self) -> Tuple[Dnf, ...]:
+        """Backward states at every trace point, ``intermediate[i]``
+        holding before command ``i`` (so ``intermediate[0]`` is
+        ``condition`` and ``intermediate[-1]`` is the normalised
+        post-condition)."""
+        if self._intermediate is None:
+            lifted = self._lifted
+            out = []
+            for step in self._steps:
+                dnf = lifted.get(step)
+                if dnf is None:
+                    dnf = lifted[step] = self._universe.lift_dnf(step)
+                out.append(dnf)
+            self._intermediate = tuple(out)
+        return self._intermediate
 
-    beam_prunes: int = 0
-    """Cubes removed by the ``drop_k`` beam over the whole pass — how
-    aggressively the under-approximation narrowed the formula."""
+    def _fields(self) -> tuple:
+        return (
+            self.condition,
+            self.intermediate,
+            self.max_disjuncts,
+            self.subsumption_drops,
+            self.beam_prunes,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MetaResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"MetaResult(condition={self.condition!r}, "
+            f"max_disjuncts={self.max_disjuncts}, "
+            f"subsumption_drops={self.subsumption_drops}, "
+            f"beam_prunes={self.beam_prunes})"
+        )
+
+    @property
+    def step_disjuncts(self) -> List[int]:
+        """The number of disjuncts of each backward state, in
+        :attr:`intermediate` order, read without lifting them."""
+        if self._steps is not None:
+            return [len(step) for step in self._steps]
+        return [len(dnf.cubes) for dnf in self.intermediate]
 
 
 def approx(
@@ -410,8 +571,9 @@ def backward_trace(
     changed literals by their memoised mask DNFs and multiplies them
     out, sorted and simplified, once per (command, condition)
     (:meth:`BackwardMetaAnalysis.wp_step`); ``drop_k`` then prunes the
-    result at this step's ``(p, d)``.  The conditions are lifted back
-    to :class:`Dnf` values when the pass ends.
+    result at this step's ``(p, d)``.  The condition is lifted back to
+    a :class:`Dnf` when the pass ends, the other states on demand
+    (:attr:`MetaResult.intermediate`).
 
     Precondition (checked): ``(p, Fp[t](d_init))`` satisfies ``post`` —
     the trace really is a counterexample.  Guarantee (Theorem 3): the
@@ -452,16 +614,16 @@ def backward_trace(
             literals = reduce(or_, current, 0)
             max_disjuncts = max(max_disjuncts, len(current))
         steps.append(current)
-    intermediate = []
-    for step in reversed(steps):
-        dnf = lifted.get(step)
-        if dnf is None:
-            dnf = lifted[step] = universe.lift_dnf(step)
-        intermediate.append(dnf)
+    steps.reverse()
+    condition = lifted.get(steps[0])
+    if condition is None:
+        condition = lifted[steps[0]] = universe.lift_dnf(steps[0])
     return MetaResult(
-        condition=intermediate[0],
-        intermediate=tuple(intermediate),
+        condition,
         max_disjuncts=max_disjuncts,
         subsumption_drops=stats["subsumption_drops"],
         beam_prunes=stats["beam_prunes"],
+        steps=tuple(steps),
+        lifted=lifted,
+        universe=universe,
     )

@@ -50,8 +50,10 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.formula import (
     And,
     Bottom,
+    CubeUniverse,
     FALSE,
     Formula,
+    Info,
     Lit,
     Literal,
     Or,
@@ -59,12 +61,8 @@ from repro.core.formula import (
     Theory,
     Top,
     TRUE,
-    conj,
     disj,
-    merge_cubes,
     neg,
-    simplify,
-    to_dnf,
 )
 from repro.obs import metrics as obs_metrics
 
@@ -663,14 +661,16 @@ def _identity_step(d):
 
 class CompiledCommand:
     """One command's resolved case table: compiled guards + effects for
-    the forward direction, a per-primitive wp memo for the backward,
-    and a per-abstraction cache of specialised ``d -> d'`` steps."""
+    the forward direction, the written locations and lowered guards for
+    the backward, and a per-abstraction cache of specialised
+    ``d -> d'`` steps."""
 
     __slots__ = (
         "cases",
         "binding",
         "_apply",
-        "_wp_memo",
+        "_writes",
+        "_guards",
         "_all_identity",
         "_effects",
         "_param_prims",
@@ -684,7 +684,9 @@ class CompiledCommand:
             case for case in table if not isinstance(case.guard, Bottom)
         )
         self.binding = binding
-        self._wp_memo: Dict[Primitive, Formula] = {}
+        self._writes: Dict[Location, bool] = {}
+        #: ``(universe epoch, each case's guard as a mask DNF)``.
+        self._guards: Optional[Tuple[int, Tuple[Dict[int, Info], ...]]] = None
         self._all_identity = all(
             isinstance(case.effect, Updates) and not case.effect.writes
             for case in self.cases
@@ -844,62 +846,85 @@ class CompiledCommand:
 
     # -- backward ----------------------------------------------------------
 
-    def wp_primitive(self, prim: Primitive) -> Formula:
-        cached = self._wp_memo.get(prim)
-        if cached is None:
-            cached = self._wp_memo[prim] = self._derive_wp(prim)
-        return cached
+    def writes(self, location: Location) -> bool:
+        """Whether some case of the table writes ``location`` (its
+        effect's :meth:`~Effect.value_expr_at` is not ``None``).  The
+        weakest precondition of a primitive at a location no case
+        writes is the primitive itself."""
+        written = self._writes.get(location)
+        if written is None:
+            binding = self.binding
+            written = self._writes[location] = any(
+                case.effect.value_expr_at(location, binding) is not None
+                for case in self.cases
+            )
+        return written
 
-    def _derive_wp(self, prim: Primitive) -> Formula:
-        """Guard-by-guard wp derivation.
+    def wp_primitive(self, prim: Primitive) -> Formula:
+        """The weakest precondition of ``prim``: the lift of
+        :meth:`wp_masks`."""
+        universe = self.binding.theory.universe()
+        return universe.lift_dnf(self.wp_masks(prim)).to_formula()
+
+    def wp_masks(self, prim: Primitive) -> Tuple[int, ...]:
+        """Guard-by-guard wp derivation, on the theory's
+        :class:`~repro.core.formula.CubeUniverse`.
 
         By totality/disjointness, ``wp(prim) = \\/_i (g_i & pre_i)``
         where ``pre_i`` is case ``i``'s precondition for ``prim``.
         When every case *preserves* the primitive (cannot falsify it),
         the equivalent factored form ``prim | \\/ (g_i & pre_i)`` over
-        the non-trivial cases is emitted instead — it canonicalises to
-        the compact cube sets hand-written metas used.  The result is
-        DNF-normalised, simplified, and merged so the downstream beam
-        (``drop_k``) sees the same syntax as before.
-        """
+        the non-trivial cases is used instead — it canonicalises to the
+        compact cube sets hand-written metas used.  Each case's guard
+        is lowered once per command; the result is sorted, simplified
+        and merged (:meth:`~repro.core.formula.CubeUniverse.merge`), so
+        the downstream beam (``drop_k``) sees the same cubes as a
+        formula-level ``to_dnf``, ``simplify``, ``merge_cubes`` would
+        give.  Not memoised: the backward pass keeps each result in its
+        wp memo entry."""
         binding = self.binding
-        theory = binding.theory
+        universe = binding.theory.universe()
+        identity = Lit(Literal(prim, True))
         location = binding.location_of(prim)
-        if location is None:
-            # Never written by any command: wp is the primitive itself.
-            return Lit(Literal(prim, True))
+        if location is None or not self.writes(location):
+            # Never written here: wp is the primitive itself.
+            return (1 << universe.bit_of(identity.literal),)
         value = binding.prim_value(prim)
-        rows: List[Tuple[Formula, Formula, bool]] = []
-        all_identity = True
+        pres: List[Formula] = []
+        preserving = True
         for case in self.cases:
             expr = case.effect.value_expr_at(location, binding)
             if expr is None:
-                rows.append((case.guard, Lit(Literal(prim, True)), True))
+                pres.append(identity)
                 continue
-            all_identity = False
-            rows.append(
-                (
-                    case.guard,
-                    expr.precondition(value, binding),
-                    expr.preserves(location, value, binding),
-                )
+            pres.append(expr.precondition(value, binding))
+            preserving = preserving and expr.preserves(location, value, binding)
+        # Interning may move the universe epoch, so every literal is
+        # interned before any Info is computed.
+        universe.intern(identity)
+        for pre in pres:
+            universe.intern(pre)
+        raw: Dict[int, Info] = {}
+        if preserving:
+            raw.update(universe.unit(universe.bit[identity.literal]))
+        for guard, pre in zip(self._guard_dnfs(universe), pres):
+            if not (preserving and pre == identity):
+                raw.update(universe.conjoin(guard, universe.dnf(pre)[0]))
+        ordered = universe.sort(raw)
+        return tuple(universe.merge(universe.simplify(ordered, raw)))
+
+    def _guard_dnfs(self, universe: CubeUniverse) -> Tuple[Dict[int, Info], ...]:
+        """Each case's guard as a mask DNF, lowered once per universe
+        epoch."""
+        guards = self._guards
+        if guards is None or guards[0] != universe.epoch:
+            for case in self.cases:
+                universe.intern(case.guard)
+            guards = self._guards = (
+                universe.epoch,
+                tuple(universe.dnf(case.guard)[0] for case in self.cases),
             )
-        if all_identity:
-            return Lit(Literal(prim, True))
-        identity = Lit(Literal(prim, True))
-        if all(preserving for _, _, preserving in rows):
-            raw = disj(
-                identity,
-                *(
-                    conj(guard, pre)
-                    for guard, pre, _ in rows
-                    if pre != identity
-                ),
-            )
-        else:
-            raw = disj(*(conj(guard, pre) for guard, pre, _ in rows))
-        dnf = merge_cubes(simplify(to_dnf(raw, theory), theory), theory)
-        return dnf.to_formula()
+        return guards[1]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import types
 import warnings
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Callable,
     Dict,
@@ -83,6 +83,37 @@ from repro.robust.journal import (
 )
 
 Query = Hashable
+
+
+def hash_once(cls):
+    """Give the frozen dataclass ``cls`` a hash computed once per object
+    and process.
+
+    Queries key the dicts of the search and of a daemon's replay reads,
+    and a frozen dataclass rebuilds its field tuple on every hash.  The
+    value is the dataclass's own (the hash of the field tuple); it is
+    kept outside the fields, so equality and ``repr`` ignore it, and it
+    is never pickled: string hashes differ between processes with
+    different hash seeds."""
+    names = tuple(item.name for item in fields(cls))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(getattr(self, name) for name in names))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
 
 #: Source of per-client cache tokens; see :meth:`TracerClient.cache_key`.
 _client_tokens = itertools.count()
@@ -961,7 +992,7 @@ def run_query_group(
                             )
                         with obs.span(
                             "replay_round",
-                            phase="synthesis",
+                            phase="replay",
                             round=round_index,
                         ):
                             apply_replay(group, rec, next_groups)
@@ -977,7 +1008,7 @@ def run_query_group(
                             )
                         with obs.span(
                             "replay_round",
-                            phase="synthesis",
+                            phase="replay",
                             round=round_index,
                         ):
                             apply_replay(group, rec, next_groups)
@@ -994,7 +1025,7 @@ def run_query_group(
                     if rec is not None:
                         with obs.span(
                             "replay_round",
-                            phase="synthesis",
+                            phase="replay",
                             round=round_index,
                             source="bus",
                         ):
@@ -1361,9 +1392,7 @@ def run_query_group(
                                 backward_span.set(
                                     steps=len(trace),
                                     max_disjuncts=result.max_disjuncts,
-                                    step_disjuncts=[
-                                        len(f.cubes) for f in result.intermediate
-                                    ],
+                                    step_disjuncts=result.step_disjuncts,
                                     subsumption_drops=result.subsumption_drops,
                                     beam_prunes=result.beam_prunes,
                                     clauses=len(added),

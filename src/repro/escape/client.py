@@ -14,7 +14,7 @@ from typing import FrozenSet, Optional
 
 from repro.core.formula import Formula, lit
 from repro.core.selfcheck import sample_pairs, sample_subsets
-from repro.core.tracer import TracerClient
+from repro.core.tracer import TracerClient, hash_once
 from repro.dataflow.engines import ForwardResult, engine_for
 from repro.escape.analysis import EscapeAnalysis
 from repro.escape.domain import ESC, LOC, NIL, EscSchema
@@ -24,6 +24,7 @@ from repro.lang.ast import Program
 from repro.lang.cfg import Cfg, build_cfg
 
 
+@hash_once
 @dataclass(frozen=True)
 class EscapeQuery:
     """Prove that at ``Observe(label)`` variable ``var`` is not ``E``."""

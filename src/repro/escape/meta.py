@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.core.formula import ExclusiveValueTheory, Formula, Primitive
-from repro.core.meta import BackwardMetaAnalysis
+from repro.core.formula import ExclusiveValueTheory, Primitive
+from repro.core.meta import SemanticsMeta
 from repro.core.viability import ParamTheory
 from repro.escape.domain import ESC, LOC, VALUES, EscState
-from repro.lang.ast import AtomicCommand
 
 
 @dataclass(frozen=True)
@@ -109,15 +108,8 @@ class EscapeTheory(ExclusiveValueTheory, ParamTheory):
         return (prim.site, prim.value == LOC)
 
 
-class EscapeMeta(BackwardMetaAnalysis):
+class EscapeMeta(SemanticsMeta):
     """Backward weakest preconditions on escape primitives, derived
     from the forward case tables (requirement (2) by construction)."""
 
     metrics_name = "escape"
-
-    def __init__(self, analysis):
-        self.analysis = analysis
-        self.theory = analysis.semantics.binding.theory
-
-    def wp_primitive(self, command: AtomicCommand, prim: Primitive) -> Formula:
-        return self.analysis.semantics.wp_primitive(command, prim)

@@ -27,8 +27,11 @@ request's ``request_id`` as the trace id).
     ``phase`` classifies the span for the per-phase breakdown; the
     phases emitted by the TRACER driver are ``"synthesis"`` (picking
     the next abstraction by MinCostSAT), ``"forward"`` (the forward
-    fixpoint and counterexample extraction), and ``"backward"`` (the
-    backward meta-analysis).
+    fixpoint and counterexample extraction), ``"backward"`` (the
+    backward meta-analysis), and ``"replay"`` (re-applying a recorded
+    round from a journal, the knowledge store or the clause bus).
+    Traces written before ``"replay"`` existed book ``replay_round``
+    spans as ``"synthesis"``; they still validate.
 
 ``event``
     A point record attached to the enclosing span: ``{"type": "event",
@@ -108,7 +111,7 @@ METRIC = "metric"
 
 RECORD_TYPES = frozenset({TRACE_HEADER, SPAN_START, SPAN_END, EVENT, METRIC})
 
-PHASES = ("forward", "backward", "synthesis")
+PHASES = ("forward", "backward", "synthesis", "replay")
 
 #: Every event name the codebase emits (``obs.event(name, ...)``).
 #: The schema leaves names open, so an unknown name is not a validation

@@ -10,7 +10,7 @@ stream (see :mod:`repro.obs.events` for the schema):
 
 * a *span* is a named, timed interval with a parent (spans nest
   lexically via ``with``); phase-carrying spans (``phase`` in
-  ``{"forward", "backward", "synthesis"}``) are what
+  ``{"forward", "backward", "synthesis", "replay"}``) are what
   ``repro trace summarize`` aggregates into the per-phase wall-clock
   breakdown behind the paper's Table 3 timing columns;
 * an *event* is a point-in-time record attached to the current span.

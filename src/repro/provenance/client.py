@@ -18,7 +18,7 @@ import itertools
 
 from repro.core.formula import Formula, disj, lit
 from repro.core.selfcheck import sample_pairs, sample_subsets
-from repro.core.tracer import TracerClient
+from repro.core.tracer import TracerClient, hash_once
 from repro.dataflow.engines import ForwardResult, engine_for
 from repro.lang.ast import Program
 from repro.lang.cfg import Cfg, build_cfg
@@ -28,6 +28,7 @@ from repro.provenance.kernel import ProvenanceCodec
 from repro.provenance.meta import ProvenanceMeta, PtHas, PtParam, PtTop
 
 
+@hash_once
 @dataclass(frozen=True)
 class ProvenanceQuery:
     """Prove that at ``Observe(label)`` variable ``var`` denotes only

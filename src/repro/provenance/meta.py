@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.core.formula import Formula, Literal, Primitive
-from repro.core.meta import BackwardMetaAnalysis
+from repro.core.formula import Literal, Primitive
+from repro.core.meta import SemanticsMeta
 from repro.core.viability import ParamTheory
-from repro.lang.ast import AtomicCommand
 from repro.provenance.domain import PT_TOP, PtState
 
 
@@ -95,15 +94,8 @@ class ProvenanceTheory(ParamTheory):
         return False
 
 
-class ProvenanceMeta(BackwardMetaAnalysis):
+class ProvenanceMeta(SemanticsMeta):
     """Weakest preconditions on provenance primitives, derived from
     the forward case tables (requirement (2) by construction)."""
 
     metrics_name = "provenance"
-
-    def __init__(self, analysis):
-        self.analysis = analysis
-        self.theory = analysis.semantics.binding.theory
-
-    def wp_primitive(self, command: AtomicCommand, prim: Primitive) -> Formula:
-        return self.analysis.semantics.wp_primitive(command, prim)

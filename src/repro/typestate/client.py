@@ -21,7 +21,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core.formula import Formula, disj, lit
 from repro.core.selfcheck import sample_pairs, sample_subsets
-from repro.core.tracer import TracerClient
+from repro.core.tracer import TracerClient, hash_once
 from repro.dataflow.engines import ForwardResult, engine_for
 from repro.dataflow.interproc import ProcGraph
 from repro.lang.ast import Program
@@ -33,6 +33,7 @@ from repro.typestate.kernel import TypestateCodec
 from repro.typestate.meta import ERR, TsParam, TsType, TsVar, TypestateMeta
 
 
+@hash_once
 @dataclass(frozen=True)
 class TypestateQuery:
     """Prove that at ``Observe(label)`` the tracked object's type-state

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.core.formula import Formula, Literal, Primitive
-from repro.core.meta import BackwardMetaAnalysis
+from repro.core.formula import Literal, Primitive
+from repro.core.meta import SemanticsMeta
 from repro.core.viability import ParamTheory
-from repro.lang.ast import AtomicCommand
 from repro.typestate.domain import TsState, TsTop
 
 
@@ -113,20 +112,9 @@ class TypestateTheory(ParamTheory):
         return False
 
 
-class TypestateMeta(BackwardMetaAnalysis):
+class TypestateMeta(SemanticsMeta):
     """Backward weakest preconditions on primitives (Figure 10),
     derived from the forward case tables (requirement (2) by
-    construction).  The wp memo is keyed like the compiled store, by
-    the semantics' ``table_key``."""
+    construction)."""
 
     metrics_name = "typestate"
-
-    def __init__(self, analysis):
-        self.analysis = analysis
-        self.theory = analysis.semantics.binding.theory
-
-    def table_key(self, command: AtomicCommand):
-        return self.analysis.semantics.table_key(command)
-
-    def wp_primitive(self, command: AtomicCommand, prim: Primitive) -> Formula:
-        return self.analysis.semantics.wp_primitive(command, prim)

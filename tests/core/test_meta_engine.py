@@ -61,6 +61,22 @@ class TestBackwardTrace:
         )
         assert len(result.intermediate) == len(trace) + 1
 
+    def test_intermediate_is_lifted_on_demand(self):
+        """A pass lifts only its condition; ``step_disjuncts`` reads the
+        mask steps, and the lifted states agree with them."""
+        analysis = _analysis()
+        meta = TypestateMeta(analysis)
+        trace = (New("x", "h1"), Invoke("x", "open"), Invoke("x", "close"))
+        result = backward_trace(
+            meta, analysis, trace, frozenset(), analysis.initial_state(), FAIL
+        )
+        assert result._intermediate is None
+        disjuncts = result.step_disjuncts
+        assert result._intermediate is None
+        assert disjuncts == [len(state.cubes) for state in result.intermediate]
+        assert result.intermediate[0] is result.condition
+        assert result.intermediate is result.intermediate
+
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("k", [1, 2, None])
     def test_theorem3_soundness(self, seed, k):

@@ -215,3 +215,20 @@ class TestSchemaVersions:
         records = stream({**span_start(0), "trace": 17}, span_end(0))
         errors = validate_events(records)
         assert any("trace id" in e for e in errors)
+
+
+class TestReplayPhase:
+    def test_replay_is_a_phase(self):
+        records = stream(span_start(0, "replay_round", phase="replay"), span_end(0))
+        assert validate_events(records) == []
+
+    def test_pre_replay_phase_trace_still_validates(self):
+        """Traces written before the ``replay`` phase existed book
+        ``replay_round`` spans as ``synthesis``."""
+        records = stream(
+            span_start(0, "query_group"),
+            span_start(1, "replay_round", parent=0, phase="synthesis"),
+            span_end(1),
+            span_end(0),
+        )
+        assert validate_events(records) == []

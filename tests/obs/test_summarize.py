@@ -68,6 +68,28 @@ class TestPhaseDurations:
         assert durations["backward"] == pytest.approx(3.0)
         assert sum(durations.values()) == pytest.approx(3.0)
 
+    def test_replay_rounds_are_their_own_phase(self):
+        records = [
+            header(),
+            span_start(0, "replay_round", t=0.0, phase="replay"),
+            span_end(0, t=0.25),
+            span_start(1, "choose", t=0.25, phase="synthesis"),
+            span_end(1, t=0.5),
+        ]
+        durations = phase_durations(records)
+        assert durations["replay"] == pytest.approx(0.25)
+        assert durations["synthesis"] == pytest.approx(0.25)
+
+    def test_pre_replay_phase_trace_books_replay_as_synthesis(self):
+        records = [
+            header(),
+            span_start(0, "replay_round", t=0.0, phase="synthesis"),
+            span_end(0, t=0.25),
+        ]
+        durations = phase_durations(records)
+        assert durations["synthesis"] == pytest.approx(0.25)
+        assert durations["replay"] == 0.0
+
 
 class TestSummarize:
     def trace(self):

@@ -174,3 +174,55 @@ class TestRecordReplay:
             if record.get("type") == "event"
         ]
         assert "journal_replayed" in names
+
+
+class TestReplayPhase:
+    def test_resumed_rounds_are_booked_as_replay(self, tmp_path):
+        """A resumed round runs in a ``replay_round`` span of the
+        ``replay`` phase; ``synthesis`` keeps only live MinCostSAT."""
+        from repro.obs import trace as obs
+        from repro.obs.sinks import MemorySink
+        from repro.obs.summarize import validate_trace
+
+        path = str(tmp_path / "journal.jsonl")
+        with SearchJournal(path) as journal:
+            Tracer(_client(), _config(), journal=journal).solve_all([Q_PROVEN])
+        sink = MemorySink()
+        with obs.tracing(sink), obs.phase_timing() as timer:
+            with SearchJournal(path, resume=True) as journal:
+                Tracer(_client(), _config(), journal=journal).solve_all([Q_PROVEN])
+        assert validate_trace(sink.events) == []
+        phases = {
+            record["phase"]
+            for record in sink.events
+            if record["type"] == "span_start" and record["name"] == "replay_round"
+        }
+        assert phases == {"replay"}
+        assert timer.totals.get("replay", 0.0) > 0.0
+        assert "synthesis" not in timer.totals
+
+    def test_bus_rounds_are_booked_as_replay(self, tmp_path):
+        """A round drained from the clause bus is re-applied in a
+        ``replay_round`` span of the ``replay`` phase."""
+        from repro.obs import trace as obs
+        from repro.obs.sinks import MemorySink
+        from repro.robust.clausebus import ClauseBus, ClauseFeed
+
+        path = str(tmp_path / "run.bus")
+        publisher = ClauseFeed(ClauseBus(path, worker="w1"), scope="t")
+        Tracer(_client(), _config(), clause_feed=publisher).solve_all([Q_PROVEN])
+        assert publisher.published
+        reader = ClauseFeed(ClauseBus(path, worker="w2"), scope="t")
+        sink = MemorySink()
+        with obs.tracing(sink):
+            Tracer(_client(), _config(), clause_feed=reader).solve_all([Q_PROVEN])
+        assert reader.imported
+        bus_spans = [
+            record
+            for record in sink.events
+            if record["type"] == "span_start"
+            and record["name"] == "replay_round"
+            and record.get("attrs", {}).get("source") == "bus"
+        ]
+        assert bus_spans
+        assert {record["phase"] for record in bus_spans} == {"replay"}

@@ -142,6 +142,22 @@ class TestWarmStartIdentity:
         assert result.mode == "replay"
         assert len(certs.certificates) == len(queries)
 
+    def test_replay_tier_is_booked_as_the_replay_phase(self, tmp_path):
+        """A replay read re-enacts its rounds in the ``replay`` phase;
+        ``synthesis`` keeps only MinCostSAT, which it runs none of."""
+        from repro.obs import trace as obs
+
+        store_path = str(tmp_path / "store.jsonl")
+        _solve_pass(tmp_path, store_path, _typestate, "cold")
+        with KnowledgeStore(store_path) as store:
+            session = AnalysisSession(store=store)
+            client, queries = _typestate(session)
+            with obs.phase_timing() as timer:
+                result = session.solve(client, queries, CONFIG, source="test:prog")
+        assert result.mode == "replay"
+        assert timer.totals.get("replay", 0.0) > 0.0
+        assert "synthesis" not in timer.totals
+
     def test_warm_without_store_is_plain_cold(self):
         session = AnalysisSession()
         client, queries = _typestate(session)
