@@ -36,7 +36,7 @@ import time
 import types
 import warnings
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field, fields
 from typing import (
     Callable,
@@ -76,6 +76,7 @@ from repro.robust.clausebus import ClauseFeedMismatch
 from repro.robust.degrade import run_with_degradation
 from repro.robust.journal import (
     JournalMismatch,
+    RecordedRounds,
     SearchJournal,
     clause_from_jsonable,
     clause_to_jsonable,
@@ -316,6 +317,11 @@ class ForwardRunCache:
             entries.popitem(last=False)
         return result
 
+    def holds(self, client: TracerClient, p: FrozenSet[str]) -> bool:
+        """Whether the result for ``(client, p)`` is cached (neither
+        counted nor moved in the LRU order)."""
+        return (client.cache_key(), p) in self._entries
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -378,8 +384,8 @@ class ProgressError(RuntimeError):
     a soundness bug (Theorem 3.1 guarantees elimination)."""
 
 
-class WarmStart:
-    """Prior knowledge seeding a new search — the PR 5 journal replay
+class WarmStart(RecordedRounds):
+    """Prior knowledge seeding a new search — the journal replay
     generalised from "resume one crashed search" to "seed any new
     search" (see :mod:`repro.serve.store` for where the knowledge
     comes from).
@@ -388,15 +394,15 @@ class WarmStart:
 
     * **replay** (``rounds`` non-empty): the recorded CEGAR rounds of a
       completed search over the *same* program digest, query set, and
-      config are re-enacted through the journal replay machinery —
-      clauses feed back into the viability stores, counters and
-      charges are restored, refuted abstractions are never re-run, and
-      every round is integrity-checked against the evolving store
-      (:class:`~repro.robust.journal.JournalMismatch` on divergence).
-      Verdicts, certificates, and journal records are bit-identical to
-      a cold search; no forward fixpoint runs at all (``digests`` lets
-      the certificate path reuse the recorded annotation digests
-      instead of re-running the proving fixpoint).
+      config are re-enacted by the driver's replay step, exactly as a
+      resumed journal's are — clauses feed back into the viability
+      stores, counters and charges are restored, refuted abstractions
+      are never re-run, and every round is integrity-checked against
+      the evolving store (:class:`~repro.robust.journal.JournalMismatch`
+      on divergence).  Verdicts, certificates, and journal records are
+      bit-identical to a cold search; no forward fixpoint runs at all
+      (``digests`` lets the certificate path reuse the recorded
+      annotation digests instead of re-running the proving fixpoint).
 
     * **clauses** (``clauses`` non-empty): per-query clause sets from a
       prior — possibly different — search seed the initial viability
@@ -421,19 +427,12 @@ class WarmStart:
         digests: Optional[Dict[str, Tuple[Tuple[str, ...], str]]] = None,
         queries: Optional[Sequence[str]] = None,
     ):
-        self.rounds = list(rounds)
+        super().__init__(rounds)
         self.clauses = dict(clauses or {})
         self.digests = dict(digests or {})
         self.queries = list(queries) if queries is not None else None
-        self.replayed_rounds = 0
         self.seeded_clauses = 0
         self.dropped_clauses = 0
-        self._cursor = 0
-        self._replaying = bool(self.rounds)
-
-    @property
-    def replaying(self) -> bool:
-        return self._replaying
 
     def begin(self, query_ids: Sequence[str]) -> None:
         if self.queries is not None and list(query_ids) != self.queries:
@@ -441,26 +440,6 @@ class WarmStart:
                 f"warm-start knowledge was recorded for queries "
                 f"{self.queries!r}, not {list(query_ids)!r}"
             )
-
-    def replay_round(self, query_ids: Sequence[str]) -> Optional[dict]:
-        """Mirror of :meth:`SearchJournal.replay_round`: the next
-        recorded round if it matches the group about to run; ``None``
-        once the knowledge is exhausted (the search goes live)."""
-        if not self._replaying:
-            return None
-        if self._cursor >= len(self.rounds):
-            self._replaying = False
-            return None
-        record = self.rounds[self._cursor]
-        if record.get("queries") != list(query_ids):
-            raise JournalMismatch(
-                f"warm-start round {record.get('round')} was recorded for "
-                f"group {record.get('queries')!r}, but the search reached "
-                f"group {list(query_ids)!r}"
-            )
-        self._cursor += 1
-        self.replayed_rounds += 1
-        return record
 
     def stored_digest(self, query_id: str, p: FrozenSet[str]) -> Optional[str]:
         """The recorded annotation digest for ``query_id``, provided
@@ -591,32 +570,33 @@ def run_query_group(
 
     ``warm_start`` seeds the search with knowledge from a *prior*
     search (see :class:`WarmStart`): replay-tier knowledge re-enacts
-    the recorded rounds through the same machinery as journal resume
-    (and writes them through to a live ``journal``, so the resulting
-    journal file is bit-identical to a cold run's); clause-tier
-    knowledge pre-partitions the initial groups and seeds each group's
-    viability store with validated clauses.  A journal opened with
-    ``resume=True`` takes precedence — its recorded rounds already are
-    this exact search's knowledge — and ``warm_start`` is ignored.
+    the recorded rounds exactly as journal resume does (and writes them
+    through to a live ``journal``, so the resulting journal file is
+    bit-identical to a cold run's); clause-tier knowledge pre-partitions
+    the initial groups and seeds each group's viability store with
+    validated clauses.  A journal opened with ``resume=True`` takes
+    precedence — its recorded rounds already are this exact search's
+    knowledge — and ``warm_start`` is ignored.
 
     ``clause_feed`` plugs the search into a cross-worker clause bus
     (see :class:`~repro.robust.clausebus.ClauseFeed`): each successful
-    round is published as it is recorded, and before solving a round
-    the feed is drained — a sibling worker's publication of this exact
-    ``(scope, round, queries)`` is replayed through the same
-    re-validation machinery as journal resume (every imported clause
-    re-proved against this process's own viability store) instead of
-    re-running the forward fixpoint.  Records stay bit-identical to an
-    uninterrupted run's: drained rounds restore charges and counters
-    from the record, and abstractions they would have left in the
-    forward cache are remembered so later live rounds report the same
-    ``cached`` flag the uninterrupted search would.  A drained record
-    that fails re-validation raises
-    :class:`~repro.robust.clausebus.ClauseFeedMismatch` — callers
-    retry the whole group cold rather than trust the import.
+    round is published as it is recorded, and a sibling worker's
+    publication of this exact ``(scope, round, queries)`` is replayed
+    instead of re-running the forward fixpoint.  A drained record that
+    fails re-validation raises
+    :class:`~repro.robust.clausebus.ClauseFeedMismatch` — callers retry
+    the whole group cold rather than trust the import.
+
+    The resumed journal, the warm start's replay tier and the clause
+    feed are round sources, asked in that order before each round; the
+    first recorded round found goes through one replay step, so the
+    records are those of an uninterrupted run whichever source
+    replayed a round.  That includes the ``cached`` flags: a live
+    round that re-chooses a replayed round's abstraction first runs its
+    fixpoint into the forward cache, outside the round's budget, where
+    the uninterrupted search's cache would have held it.
     """
-    theory = client.meta.theory
-    if not isinstance(theory, ParamTheory):
+    if not isinstance(client.meta.theory, ParamTheory):
         raise TypeError("the meta-analysis theory must be a ParamTheory")
     select_engine = getattr(client, "use_engine", None)
     if select_engine is not None:
@@ -625,31 +605,287 @@ def run_query_group(
         forward_cache = ForwardRunCache(config.forward_cache_size)
     if forward_cache is not None and not _cache_aware(client):
         forward_cache = None
-    d_init = client.analysis.initial_state()
-    records: Dict[Query, QueryRecord] = {}
-    iterations: Dict[Query, int] = {q: 0 for q in queries}
-    elapsed: Dict[Query, float] = {q: 0.0 for q in queries}
-    steps_used: Dict[Query, float] = {q: 0.0 for q in queries}
-    forward_runs: Dict[Query, int] = {q: 0 for q in queries}
-    cached_runs: Dict[Query, int] = {q: 0 for q in queries}
-    max_disjuncts: Dict[Query, int] = {q: 0 for q in queries}
-    warm = warm_start
-    if warm is not None and journal is not None and journal.replaying:
-        # A resumed journal already *is* this exact search's knowledge;
-        # replaying both would double-apply clauses.
-        warm = None
-    if warm is not None:
-        warm.begin([str(q) for q in queries])
-    groups: List[_Group] = [
-        _Group(store=ViabilityStore(theory, d_init), queries=list(queries))
-    ]
-    if warm is not None and not warm.rounds and warm.clauses:
+    return _Search(
+        client,
+        queries,
+        config,
+        forward_cache,
+        clock,
+        journal,
+        certificates,
+        warm_start,
+        clause_feed,
+    ).run()
+
+
+@dataclass
+class _Survivor:
+    """One failing query's backward pass in a round, as the outcome
+    rules read it: a round record's survivor entry, plus — for the
+    ``"clauses"`` outcome — the learned clauses (``added``) and the
+    group's store with them (``store``).  ``trace`` and ``clauses`` are
+    the record's JSON forms, kept only for evidence."""
+
+    query: Query
+    outcome: Optional[str] = None
+    reason: Optional[str] = None
+    seconds: float = 0.0
+    steps: float = 0.0
+    k: Optional[int] = None
+    max_disjuncts: int = 0
+    degraded: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
+    clauses: list = field(default_factory=list)
+    added: Sequence = ()
+    store: Optional[ViabilityStore] = None
+
+    def entry(self) -> dict:
+        return {
+            "query": str(self.query),
+            "outcome": self.outcome,
+            "reason": self.reason,
+            "seconds": self.seconds,
+            "steps": self.steps,
+            "k": self.k,
+            "max_disjuncts": self.max_disjuncts,
+            "degraded": self.degraded,
+            "trace": self.trace,
+            "clauses": self.clauses,
+        }
+
+
+@dataclass
+class _Round:
+    """One CEGAR round of one group, as the outcome rules read it and a
+    round record stores it (the schema is in :mod:`repro.robust.journal`)."""
+
+    outcome: str = "ok"
+    reason: Optional[str] = None
+    p: Optional[FrozenSet] = None
+    cached: bool = False
+    seconds: float = 0.0
+    steps: float = 0.0
+    proven: List[Query] = field(default_factory=list)
+    survivors: List[_Survivor] = field(default_factory=list)
+    exhausted: list = field(default_factory=list)
+
+    def record(self, round_index: int, query_ids: List[str]) -> dict:
+        return {
+            "round": round_index,
+            "queries": query_ids,
+            "outcome": self.outcome,
+            "reason": self.reason,
+            "abstraction": sorted(self.p) if self.p is not None else None,
+            "cached": self.cached,
+            "seconds": self.seconds,
+            "steps": self.steps,
+            "proven": [str(q) for q in self.proven],
+            "survivors": [survivor.entry() for survivor in self.survivors],
+            "exhausted": self.exhausted,
+        }
+
+
+def _recorded_round(
+    rec: dict, group: _Group, round_index: int, query_ids: List[str]
+) -> _Round:
+    """Decode the recorded round ``rec`` and check it against the
+    search about to replay it: its round index and group, the
+    recomputed minimum-cost abstraction (none left for an impossible
+    round), and that each survivor's clauses refute it.  Raises
+    :class:`JournalMismatch` on a failed check, and ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``AttributeError`` on a field that
+    does not decode."""
+    if rec.get("round") != round_index:
+        raise JournalMismatch(
+            f"recorded round {rec.get('round')!r} where the search reached "
+            f"round {round_index}"
+        )
+    if rec.get("queries") != query_ids:
+        raise JournalMismatch(
+            f"round {round_index} was recorded for group "
+            f"{rec.get('queries')!r}, but the search reached group "
+            f"{query_ids!r}"
+        )
+    rnd = _Round(
+        outcome=rec.get("outcome"),
+        reason=rec.get("reason"),
+        cached=bool(rec.get("cached")),
+        seconds=float(rec.get("seconds", 0.0)),
+        steps=float(rec.get("steps", 0.0)),
+    )
+    if rnd.outcome in ("budget", "error"):
+        return rnd
+    chosen = group.store.choose_minimum()
+    if rnd.outcome == "impossible":
+        if chosen is not None:
+            raise JournalMismatch(
+                "an impossible round was recorded but the replayed store "
+                "still has viable abstractions"
+            )
+        return rnd
+    if rnd.outcome != "ok":
+        raise JournalMismatch(
+            f"unknown recorded round outcome {rnd.outcome!r}"
+        )
+    p = rnd.p = frozenset(rec.get("abstraction") or ())
+    if chosen != p:
+        raise JournalMismatch(
+            f"abstraction {sorted(p)} was recorded but the replayed store "
+            f"chooses {sorted(chosen) if chosen is not None else None}"
+        )
+    by_id = {str(q): q for q in group.queries}
+    rnd.proven = [by_id[qid] for qid in rec.get("proven", [])]
+    for entry in rec.get("survivors", []):
+        survivor = _Survivor(
+            by_id[entry["query"]],
+            outcome=entry.get("outcome"),
+            reason=entry.get("reason"),
+            seconds=float(entry.get("seconds", 0.0)),
+            steps=float(entry.get("steps", 0.0)),
+            k=entry.get("k"),
+            max_disjuncts=int(entry.get("max_disjuncts", 0)),
+            degraded=[(a, b) for a, b in entry.get("degraded", [])],
+            trace=entry.get("trace", []),
+            clauses=entry.get("clauses", []),
+        )
+        if survivor.outcome == "clauses":
+            survivor.added = [
+                clause_from_jsonable(c) for c in survivor.clauses
+            ]
+            survivor.store = group.store.copy()
+            survivor.store.add_clauses(survivor.added)
+            if not survivor.store.excludes(p):
+                raise JournalMismatch(
+                    f"the recorded clauses of query {entry['query']!r} do "
+                    "not eliminate the recorded abstraction"
+                )
+        elif survivor.outcome not in ("budget", "explosion", "error"):
+            raise JournalMismatch(
+                f"unknown recorded survivor outcome {survivor.outcome!r}"
+            )
+        rnd.survivors.append(survivor)
+    rnd.exhausted = rec.get("exhausted", [])
+    return rnd
+
+
+class _Search:
+    """One grouped TRACER search: the per-query counters, the round
+    loop, and its steps.
+
+    A round is either run live — choose and forward
+    (:meth:`choose_and_forward`), one backward pass per failing query
+    (:meth:`backward_pass`) — or replayed from a recorded round
+    (:meth:`replay`).  Both apply their outcomes through the same rules
+    (:meth:`apply_forward`, :meth:`apply_survivor`, :meth:`settle_caps`),
+    so a replayed round leaves exactly the state the live one did."""
+
+    def __init__(
+        self,
+        client: TracerClient,
+        queries: Sequence[Query],
+        config: TracerConfig,
+        forward_cache: Optional[ForwardRunCache],
+        clock: Callable[[], float],
+        journal,
+        certificates: Optional[CertificateStore],
+        warm: Optional[WarmStart],
+        clause_feed,
+    ):
+        self.client = client
+        self.queries = queries
+        self.config = config
+        self.forward_cache = forward_cache
+        self.clock = clock
+        self.journal = journal
+        self.certificates = certificates
+        self.clause_feed = clause_feed
+        self.d_init = client.analysis.initial_state()
+        self.records: Dict[Query, QueryRecord] = {}
+        self.iterations: Dict[Query, int] = dict.fromkeys(queries, 0)
+        self.elapsed: Dict[Query, float] = dict.fromkeys(queries, 0.0)
+        self.steps_used: Dict[Query, float] = dict.fromkeys(queries, 0.0)
+        self.forward_runs: Dict[Query, int] = dict.fromkeys(queries, 0)
+        self.cached_runs: Dict[Query, int] = dict.fromkeys(queries, 0)
+        self.max_disjuncts: Dict[Query, int] = dict.fromkeys(queries, 0)
+        #: Read only by certificates, so created on first use.
+        self.evidence: Dict[Query, QueryEvidence] = defaultdict(QueryEvidence)
+        #: Survivor traces/clauses are serialised only when someone will
+        #: read them (the journal, certificate evidence, or the bus).
+        self.recording = (
+            journal is not None
+            or certificates is not None
+            or clause_feed is not None
+        )
+        #: Abstractions of replayed ``ok`` rounds; see :meth:`prefetch`.
+        self.replayed: set = set()
+        resuming = getattr(journal, "replaying", False)
+        if resuming:
+            # A resumed journal already *is* this exact search's
+            # knowledge; replaying both would double-apply clauses.
+            warm = None
+        self.warm = warm
+        #: The round sources, asked in this order before each round.
+        self.sources = [
+            source
+            for source in (
+                journal if resuming else None,
+                warm if warm is not None and warm.rounds else None,
+                clause_feed,
+            )
+            if source is not None
+        ]
+
+    def run(self) -> Dict[Query, QueryRecord]:
+        """The round loop: each group of each generation gets one round,
+        replayed when a round source holds it and live otherwise; the
+        groups that survive a round's caps form the next generation."""
+        query_ids = [str(q) for q in self.queries]
+        if self.warm is not None:
+            self.warm.begin(query_ids)
+        groups = self.initial_groups()
+        if self.journal is not None:
+            self.journal.begin(query_ids)
+        round_index = 0
+        with obs.span("query_group", queries=len(self.queries)):
+            while groups:
+                next_groups: List[_Group] = []
+                for group in groups:
+                    round_index += 1
+                    ids = [str(q) for q in group.queries]
+                    for source in self.sources:
+                        rec = source.recorded_round(round_index, ids)
+                        if rec is not None:
+                            self.replay(
+                                source, group, round_index, ids, rec,
+                                next_groups,
+                            )
+                            break
+                    else:
+                        self.live_round(group, round_index, ids, next_groups)
+                groups = next_groups
+        return self.records
+
+    def initial_groups(self) -> List[_Group]:
+        """One group of all queries — or, on a clause-tier warm start,
+        one per seeded clause signature."""
+        queries = self.queries
+        theory = self.client.meta.theory
+        warm = self.warm
+        if warm is None or warm.rounds or not warm.clauses:
+            if warm is not None and warm.rounds and obs.active():
+                obs.event(
+                    "warm_start",
+                    mode="replay",
+                    queries=len(queries),
+                    rounds=len(warm.rounds),
+                )
+            return [_Group(ViabilityStore(theory, self.d_init), list(queries))]
         # Clause tier: partition the initial groups by seeded clause
         # signature — a clause learned for one query must never enter
         # another query's store (it could mask that query's minimum) —
         # and validate every clause against the current parameter
         # space before it constrains anything.
-        space = client.analysis.param_space
+        space = self.client.analysis.param_space
         universe = getattr(space, "universe", None)
         if universe is None:
             universe = getattr(space, "keys", None)
@@ -659,15 +895,14 @@ def run_query_group(
                 clause_from_jsonable(c)
                 for c in warm.clauses.get(str(query), [])
             ]
-            store = ViabilityStore(theory, d_init)
+            store = ViabilityStore(theory, self.d_init)
             seeded, dropped = store.warm_start(seed, universe)
             warm.seeded_clauses += len(seeded)
             warm.dropped_clauses += len(dropped)
             signature = _clause_signature(seeded)
             bucket = buckets.get(signature)
             if bucket is None:
-                bucket = _Group(store=store, queries=[])
-                buckets[signature] = bucket
+                bucket = buckets[signature] = _Group(store=store, queries=[])
             bucket.queries.append(query)
         groups = list(buckets.values())
         if obs.active():
@@ -679,78 +914,531 @@ def run_query_group(
                 seeded=warm.seeded_clauses,
                 dropped=warm.dropped_clauses,
             )
-    elif warm is not None and warm.rounds:
-        if obs.active():
+        return groups
+
+    # -- a live round -------------------------------------------------------
+
+    def live_round(
+        self,
+        group: _Group,
+        round_index: int,
+        ids: List[str],
+        next_groups: List[_Group],
+    ) -> None:
+        """Run one round live and record it: choose and forward, the
+        forward outcome, a backward pass per failing query, the caps."""
+        queries = group.queries
+        with obs.span(
+            "iteration", round=round_index, group_size=len(queries)
+        ) as span:
+            rnd, witnesses = self.choose_and_forward(group, span)
+            if rnd.outcome in ("budget", "error"):
+                span.set(outcome=rnd.outcome)
+            if self.apply_forward(group, rnd, detail=obs.detail_enabled()):
+                span.set(
+                    cached=rnd.cached,
+                    proven=len(rnd.proven),
+                    survivors=len(queries) - len(rnd.proven),
+                )
+                splits: Dict[Tuple, _Group] = {}
+                for query in queries:
+                    trace = witnesses[query]
+                    if trace is None:
+                        continue
+                    with obs.span(
+                        "backward", phase="backward", query=str(query)
+                    ) as backward_span:
+                        survivor = self.backward_pass(
+                            group, rnd.p, query, trace, backward_span
+                        )
+                        self.apply_survivor(group, rnd.p, survivor, splits)
+                    rnd.survivors.append(survivor)
+                rnd.exhausted = self.settle_caps(splits, next_groups)
+            feed = self.clause_feed
+            if self.journal is None and feed is None:
+                return
+            record = rnd.record(round_index, ids)
+            if self.journal is not None:
+                self.journal.record_round(record)
+            if feed is not None:
+                before = feed.published
+                feed.publish(record)
+                if feed.published > before and obs.active():
+                    obs.event(
+                        "clause_published",
+                        round=round_index,
+                        queries=len(ids),
+                        clauses=sum(len(s.clauses) for s in rnd.survivors),
+                    )
+
+    def choose_and_forward(
+        self, group: _Group, span
+    ) -> Tuple[_Round, Dict[Query, Optional[Trace]]]:
+        """Choose the group's minimum-cost viable abstraction and run the
+        forward analysis under it, within the round's budget; returns
+        the round so far (its shared charge, and a forward budget
+        overrun or lenient error as its outcome) and the witnesses."""
+        clock = self.clock
+        started = clock()
+        budget = self.budget(group.queries)
+        rnd = _Round()
+        witnesses: Dict[Query, Optional[Trace]] = {}
+        cache = self.forward_cache
+        try:
+            with robust_budget.budget_scope(budget):
+                with obs.span("choose", phase="synthesis") as choose_span:
+                    robust_faults.inject("choose")
+                    rnd.p = group.store.choose_minimum()
+                    choose_span.set(viable=rnd.p is not None)
+            if rnd.p is None:
+                rnd.outcome = "impossible"
+            else:
+                started += self.prefetch(rnd.p)
+                if obs.active():
+                    span.set(
+                        abstraction_cost=self.client.analysis.param_space.cost(
+                            rnd.p
+                        )
+                    )
+                with robust_budget.budget_scope(budget), obs.span(
+                    "counterexamples", phase="forward"
+                ):
+                    if cache is not None:
+                        hits_before = cache.hits
+                        witnesses = self.client.counterexamples(
+                            group.queries, rnd.p, cache=cache
+                        )
+                        rnd.cached = cache.hits > hits_before
+                    else:
+                        witnesses = self.client.counterexamples(
+                            group.queries, rnd.p
+                        )
+        except BudgetExceeded as exc:
+            rnd.outcome, rnd.reason = "budget", exc.reason
             obs.event(
-                "warm_start",
-                mode="replay",
-                queries=len(queries),
-                rounds=len(warm.rounds),
+                "budget_exceeded",
+                phase="forward",
+                reason=exc.reason,
+                queries=len(group.queries),
             )
-    budgeted = config.max_seconds is not None or config.max_steps is not None
-    evidence: Dict[Query, QueryEvidence] = {q: QueryEvidence() for q in queries}
-    #: Survivor traces/clauses are serialised only when someone will
-    #: read them (the journal, or certificate evidence).
-    recording = (
-        journal is not None
-        or certificates is not None
-        or clause_feed is not None
-    )
-    if journal is not None:
-        journal.begin([str(q) for q in queries])
-    #: Abstractions of bus-drained rounds: the uninterrupted search ran
-    #: them live and left their fixpoints in its forward cache, so a
-    #: later live round re-choosing one must still report ``cached``.
-    feed_phantom: set = set()
+        except Exception as exc:
+            # Unexpected client failure during selection or the forward
+            # phase.  In strict mode it is the caller's bug to see; in
+            # lenient mode it costs this group its round, never the run.
+            if self.config.strict:
+                raise
+            rnd.outcome, rnd.reason = "error", repr(exc)
+            obs.event(
+                "degraded",
+                reason="forward_error",
+                error=repr(exc),
+                queries=len(group.queries),
+            )
+        rnd.seconds = clock() - started
+        rnd.steps = budget.steps if budget is not None else 0.0
+        if rnd.outcome == "ok":
+            rnd.proven = [q for q in group.queries if witnesses[q] is None]
+        return rnd, witnesses
 
-    def digest_for(p: FrozenSet[str], label: str) -> str:
-        if forward_cache is not None:
-            result = forward_cache.fetch(client, p)
+    def prefetch(self, p: FrozenSet[str]) -> float:
+        """Run a replayed round's fixpoint into the forward cache before
+        a live round uses its abstraction ``p`` again; returns the
+        seconds it took.
+
+        The uninterrupted search ran that fixpoint live and kept it in
+        its forward cache, so the live round must be a cache hit here
+        too.  The fixpoint's cost is the replayed round's, whose
+        charges the record restored, so it runs outside the round's
+        budget and its seconds are not charged to the round."""
+        cache = self.forward_cache
+        if (
+            p not in self.replayed
+            or cache is None
+            or cache.holds(self.client, p)
+        ):
+            return 0.0
+        started = self.clock()
+        with obs.span("forward_run", phase="forward", cached=False):
+            cache.fetch(self.client, p)
+        return self.clock() - started
+
+    def backward_pass(
+        self,
+        group: _Group,
+        p: FrozenSet[str],
+        query: Query,
+        trace: Trace,
+        span,
+    ) -> _Survivor:
+        """The backward meta-analysis of one failing query under its own
+        budget, degrading the beam on a formula explosion: the clauses
+        it learns (checked to eliminate ``p``) or, contained in lenient
+        mode, a budget overrun, explosion or error."""
+        client, config = self.client, self.config
+        survivor = _Survivor(
+            query, trace=trace_to_jsonable(trace) if self.recording else []
+        )
+        started = self.clock()
+        budget = self.budget([query])
+
+        def attempt(width):
+            robust_faults.inject("backward")
+            return backward_trace(
+                client.meta,
+                client.analysis,
+                trace,
+                p,
+                self.d_init,
+                client.fail_condition(query),
+                k=width,
+                max_cubes=config.max_cubes,
+            )
+
+        def on_degrade(failed_k, next_k):
+            survivor.degraded.append([failed_k, next_k])
+            obs.event(
+                "degraded",
+                reason="formula_explosion",
+                query=str(query),
+                from_k=failed_k,
+                to_k=next_k,
+            )
+
+        try:
+            with robust_budget.budget_scope(budget):
+                result, used_k = run_with_degradation(
+                    attempt, config.k, config.k_min, on_degrade
+                )
+            survivor.max_disjuncts = result.max_disjuncts
+            probe = group.store.copy()
+            added = probe.add_failure_condition(result.condition)
+            if not probe.excludes(p):
+                raise ProgressError(
+                    f"query {query!r}: abstraction {sorted(p)} was not "
+                    "eliminated by its own counterexample"
+                )
+        except BudgetExceeded as exc:
+            survivor.outcome, survivor.reason = "budget", exc.reason
+            span.set(outcome="budget")
+            obs.event(
+                "budget_exceeded",
+                phase="backward",
+                reason=exc.reason,
+                query=str(query),
+            )
+        except FormulaExplosion:
+            # The meta-analysis formula outgrew the budget even at the
+            # narrowest beam of the degradation ladder (the analogue of
+            # the paper's k=None memory blow-ups): give up on this query
+            # rather than on the run.
+            survivor.outcome = "explosion"
+            span.set(outcome="explosion")
+        except Exception as exc:
+            # ProgressError or an unexpected client failure: fatal in
+            # strict mode, contained to this query otherwise.
+            if config.strict:
+                raise
+            survivor.outcome, survivor.reason = "error", repr(exc)
+            span.set(outcome="error")
+            obs.event(
+                "degraded",
+                reason="backward_error",
+                query=str(query),
+                error=repr(exc),
+            )
         else:
-            result = client.run_forward(p)
-        return annotation_digest(result, label)
+            survivor.outcome, survivor.k = "clauses", used_k
+            survivor.added, survivor.store = added, probe
+            if self.recording:
+                survivor.clauses = [clause_to_jsonable(c) for c in added]
+            if used_k != config.k:
+                span.set(degraded_to=used_k)
+            if obs.active():
+                span.set(
+                    steps=len(trace),
+                    max_disjuncts=result.max_disjuncts,
+                    step_disjuncts=result.step_disjuncts,
+                    subsumption_drops=result.subsumption_drops,
+                    beam_prunes=result.beam_prunes,
+                    clauses=len(added),
+                )
+            if obs.detail_enabled():
+                states = forward_states(client.analysis, trace, p, self.d_init)
+                obs.event(
+                    "iteration_detail",
+                    query=str(query),
+                    index=self.iterations[query],
+                    proven=False,
+                    abstraction=sorted(p),
+                    commands=[pretty_command(c) for c in trace],
+                    forward_states=[str(s) for s in states],
+                    backward_formulas=[str(f) for f in result.intermediate],
+                )
+        survivor.seconds = self.clock() - started
+        if budget is not None:
+            survivor.steps = budget.steps
+        return survivor
 
-    def make_budget(members: Sequence[Query]) -> Optional[Budget]:
+    # -- a replayed round ---------------------------------------------------
+
+    def replay(
+        self,
+        source,
+        group: _Group,
+        round_index: int,
+        ids: List[str],
+        rec: dict,
+        next_groups: List[_Group],
+    ) -> None:
+        """Re-enact a recorded round — from a resumed journal, a warm
+        start's replay tier or the clause bus — without re-running any
+        analysis: check it against the search, apply its outcomes
+        through the live round's rules, write it through to the
+        journal, and remember its abstraction for :meth:`prefetch`.
+
+        A record that fails a check or does not decode raises the
+        source's mismatch error:
+        :class:`~repro.robust.clausebus.ClauseFeedMismatch` for the bus,
+        :class:`~repro.robust.journal.JournalMismatch` otherwise."""
+        bus = source is self.clause_feed
+        mismatch = ClauseFeedMismatch if bus else JournalMismatch
+        attrs = {"source": "bus"} if bus else {}
+        with obs.span(
+            "replay_round", phase="replay", round=round_index, **attrs
+        ):
+            try:
+                rnd = _recorded_round(rec, group, round_index, ids)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                # JournalMismatch is a ValueError, so failed checks and
+                # fields that do not decode both land here.
+                raise mismatch(
+                    f"recorded round {round_index}: {exc!r}"
+                ) from exc
+            if obs.active():
+                obs.event(
+                    "journal_replayed",
+                    round=round_index,
+                    queries=len(ids),
+                    outcome=rnd.outcome,
+                )
+            if self.apply_forward(group, rnd):
+                splits: Dict[Tuple, _Group] = {}
+                for survivor in rnd.survivors:
+                    self.apply_survivor(group, rnd.p, survivor, splits)
+                exhausted = self.settle_caps(splits, next_groups)
+                if exhausted != rnd.exhausted:
+                    raise mismatch(
+                        f"replay exhausted {exhausted!r} at the end of round "
+                        f"{round_index}, the record has {rnd.exhausted!r}"
+                    )
+                self.replayed.add(rnd.p)
+        if self.journal is not None and source is not self.journal:
+            # Write the replayed round through, so the journal is
+            # bit-identical to the uninterrupted search's.
+            self.journal.record_round(rec)
+        if bus and obs.active():
+            obs.event(
+                "clause_imported",
+                round=round_index,
+                queries=len(ids),
+                clauses=sum(len(s.clauses) for s in rnd.survivors),
+            )
+
+    # -- the outcome rules, shared by live and replayed rounds ---------------
+
+    def apply_forward(
+        self, group: _Group, rnd: _Round, detail: bool = False
+    ) -> bool:
+        """Charge a round's shared work equally to its members and apply
+        its forward outcome: a budget overrun or error exhausts every
+        member, an empty viable set makes them impossible, and otherwise
+        each member counts an iteration (and a forward run, cached or
+        not) and the proven ones resolve.  Returns whether backward
+        passes follow.  ``detail`` emits the proven ones'
+        ``iteration_detail`` events (live rounds in detail mode)."""
+        queries = group.queries
+        _charge(queries, rnd.seconds, self.elapsed)
+        _charge(queries, rnd.steps, self.steps_used)
+        if rnd.outcome in ("budget", "error"):
+            key = "reason" if rnd.outcome == "budget" else "error"
+            for query in queries:
+                self.evidence[query].provenance.append(
+                    {"kind": rnd.outcome, "phase": "forward", key: rnd.reason}
+                )
+                self.resolve(query, QueryStatus.EXHAUSTED, store=group.store)
+            return False
+        if rnd.outcome == "impossible":
+            for query in queries:
+                self.resolve(query, QueryStatus.IMPOSSIBLE, store=group.store)
+            return False
+        for query in queries:
+            self.iterations[query] += 1
+            self.forward_runs[query] += 1
+            if rnd.cached:
+                self.cached_runs[query] += 1
+        for query in rnd.proven:
+            if detail:
+                obs.event(
+                    "iteration_detail",
+                    query=str(query),
+                    index=self.iterations[query],
+                    proven=True,
+                    abstraction=sorted(rnd.p),
+                )
+            self.resolve(query, QueryStatus.PROVEN, rnd.p, store=group.store)
+        return True
+
+    def apply_survivor(
+        self,
+        group: _Group,
+        p: FrozenSet[str],
+        survivor: _Survivor,
+        splits: Dict[Tuple, _Group],
+    ) -> None:
+        """Charge a survivor its own backward pass and apply its outcome:
+        learned clauses put it in the next-round group of its clause
+        signature (the Section 6 split), and a budget overrun, explosion
+        or error resolves it exhausted."""
+        query = survivor.query
+        self.elapsed[query] += survivor.seconds
+        self.steps_used[query] += survivor.steps
+        self.max_disjuncts[query] = max(
+            self.max_disjuncts[query], survivor.max_disjuncts
+        )
+        evidence = self.evidence[query]
+        for from_k, to_k in survivor.degraded:
+            evidence.provenance.append(
+                {"kind": "degraded", "from_k": from_k, "to_k": to_k}
+            )
+        if survivor.outcome == "clauses":
+            if self.recording:
+                evidence.witnesses.append(
+                    {
+                        "abstraction": sorted(p),
+                        "k": survivor.k,
+                        "trace": survivor.trace,
+                        "clauses": survivor.clauses,
+                    }
+                )
+            signature = _clause_signature(survivor.added)
+            bucket = splits.get(signature)
+            if bucket is None:
+                bucket = splits[signature] = _Group(
+                    store=survivor.store, queries=[]
+                )
+            bucket.queries.append(query)
+            return
+        if survivor.outcome == "budget":
+            evidence.provenance.append(
+                {
+                    "kind": "budget",
+                    "phase": "backward",
+                    "reason": survivor.reason,
+                }
+            )
+        elif survivor.outcome == "explosion":
+            evidence.provenance.append(
+                {"kind": "explosion", "phase": "backward"}
+            )
+        else:
+            evidence.provenance.append(
+                {
+                    "kind": "error",
+                    "phase": "backward",
+                    "error": survivor.reason,
+                }
+            )
+        self.resolve(query, QueryStatus.EXHAUSTED, store=group.store)
+
+    def settle_caps(
+        self, splits: Dict[Tuple, _Group], sink: List[_Group]
+    ) -> List[str]:
+        """End-of-round cap check: resolve every split member past a cap
+        exhausted and queue the rest for the next round; returns the ids
+        of the queries exhausted."""
+        exhausted_ids: List[str] = []
+        for bucket in splits.values():
+            live: List[Query] = []
+            for query in bucket.queries:
+                reason = self.cap_reason(query)
+                if reason is not None:
+                    self.evidence[query].provenance.append(
+                        {"kind": "cap", "reason": reason}
+                    )
+                    self.resolve(
+                        query, QueryStatus.EXHAUSTED, store=bucket.store
+                    )
+                    exhausted_ids.append(str(query))
+                else:
+                    live.append(query)
+            if live:
+                bucket.queries = live
+                sink.append(bucket)
+        return exhausted_ids
+
+    def cap_reason(self, query: Query) -> Optional[str]:
+        config = self.config
+        if self.iterations[query] >= config.max_iterations:
+            return "iterations"
+        if (
+            config.max_seconds is not None
+            and self.elapsed[query] >= config.max_seconds
+        ):
+            return "seconds"
+        if (
+            config.max_steps is not None
+            and self.steps_used[query] >= config.max_steps
+        ):
+            return "steps"
+        return None
+
+    def budget(self, members: Sequence[Query]) -> Optional[Budget]:
         """A cooperative budget for work shared by ``members`` (or for
         one query's own backward pass).  Shared work is charged in
         equal shares, so the member with the least headroom going over
         implies every member is over — a budget sized on the minimum
         headroom exhausts the whole group exactly when the contract
         says it should."""
-        if not budgeted:
+        config = self.config
+        if config.max_seconds is None and config.max_steps is None:
             return None
         remaining_time = None
         if config.max_seconds is not None:
             remaining_time = config.max_seconds - min(
-                elapsed[q] for q in members
+                self.elapsed[q] for q in members
             )
         remaining_steps = None
         if config.max_steps is not None:
             remaining_steps = config.max_steps - min(
-                steps_used[q] for q in members
+                self.steps_used[q] for q in members
             )
         return Budget(
             max_seconds=remaining_time,
             max_steps=remaining_steps,
-            clock=clock,
+            clock=self.clock,
             check_every=config.budget_check_every,
         )
 
-    def resolve(query: Query, status: QueryStatus, p=None, store=None) -> None:
+    def resolve(
+        self, query: Query, status: QueryStatus, p=None, store=None
+    ) -> None:
+        """Record ``query``'s verdict from its counters, and emit its
+        certificate when certificates are collected."""
+        client = self.client
         record = QueryRecord(
             query_id=str(query),
             status=status,
-            iterations=iterations[query],
+            iterations=self.iterations[query],
             abstraction=p,
             abstraction_cost=(
                 client.analysis.param_space.cost(p) if p is not None else None
             ),
-            time_seconds=elapsed[query],
-            max_disjuncts=max_disjuncts[query],
-            forward_runs=forward_runs[query],
-            forward_cache_hits=cached_runs[query],
+            time_seconds=self.elapsed[query],
+            max_disjuncts=self.max_disjuncts[query],
+            forward_runs=self.forward_runs[query],
+            forward_cache_hits=self.cached_runs[query],
         )
-        records[query] = record
+        self.records[query] = record
         if obs.active():
             obs.event(
                 "query_resolved",
@@ -764,703 +1452,47 @@ def run_query_group(
                 forward_runs=record.forward_runs,
                 forward_cache_hits=record.forward_cache_hits,
             )
-        if certificates is not None:
-            digest = None
-            if status is QueryStatus.PROVEN and p is not None:
-                if warm is not None:
-                    # Replay tier: reuse the recorded annotation digest
-                    # (checked against the proving abstraction) so the
-                    # warm run performs zero forward fixpoints even
-                    # with certification on.
-                    digest = warm.stored_digest(str(query), p)
-                if digest is None:
-                    digest = digest_for(p, query.label)
-            certificate = build_certificate(
-                client,
-                query,
-                status,
-                p,
-                store.clauses if store is not None else (),
-                evidence[query],
-                iterations[query],
-                config,
-                digest,
-            )
-            certificates.add(certificate)
-            if obs.active():
-                obs.event(
-                    "certificate_emitted",
-                    query=str(query),
-                    verdict=status.value,
-                    clauses=len(certificate["clauses"]),
-                    witnesses=len(certificate["witnesses"]),
-                )
-
-    def cap_reason(query: Query) -> Optional[str]:
-        if iterations[query] >= config.max_iterations:
-            return "iterations"
-        if (
-            config.max_seconds is not None
-            and elapsed[query] >= config.max_seconds
-        ):
-            return "seconds"
-        if (
-            config.max_steps is not None
-            and steps_used[query] >= config.max_steps
-        ):
-            return "steps"
-        return None
-
-    def settle_buckets(
-        splits: Dict[Tuple, _Group], sink: List[_Group]
-    ) -> List[str]:
-        """End-of-round cap check, shared by the live and the replay
-        paths (the charges are replayed exactly, so both compute the
-        same answer); returns the ids of the queries exhausted."""
-        exhausted_ids: List[str] = []
-        for bucket in splits.values():
-            live: List[Query] = []
-            for query in bucket.queries:
-                reason = cap_reason(query)
-                if reason is not None:
-                    evidence[query].provenance.append(
-                        {"kind": "cap", "reason": reason}
-                    )
-                    resolve(query, QueryStatus.EXHAUSTED, store=bucket.store)
-                    exhausted_ids.append(str(query))
+        if self.certificates is None:
+            return
+        digest = None
+        if status is QueryStatus.PROVEN and p is not None:
+            if self.warm is not None:
+                # Replay tier: reuse the recorded annotation digest
+                # (checked against the proving abstraction) so the warm
+                # run performs zero forward fixpoints even with
+                # certification on.
+                digest = self.warm.stored_digest(str(query), p)
+            if digest is None:
+                if self.forward_cache is not None:
+                    result = self.forward_cache.fetch(client, p)
                 else:
-                    live.append(query)
-            if live:
-                bucket.queries = live
-                sink.append(bucket)
-        return exhausted_ids
-
-    def apply_replay(
-        group: _Group, rec: dict, next_groups: List[_Group]
-    ) -> None:
-        """Re-enact one recorded round without re-running any analysis:
-        restore the charges and counters, feed the recorded clauses
-        back into the viability stores, and integrity-check the record
-        against the store as we go (see :mod:`repro.robust.journal`)."""
-        members = list(group.queries)
-        by_id = {str(q): q for q in members}
-        outcome = rec.get("outcome")
-        _charge(members, float(rec.get("seconds", 0.0)), elapsed)
-        _charge(members, float(rec.get("steps", 0.0)), steps_used)
+                    result = client.run_forward(p)
+                digest = annotation_digest(result, query.label)
+        certificate = build_certificate(
+            client,
+            query,
+            status,
+            p,
+            store.clauses if store is not None else (),
+            self.evidence[query],
+            self.iterations[query],
+            self.config,
+            digest,
+        )
+        self.certificates.add(certificate)
         if obs.active():
             obs.event(
-                "journal_replayed",
-                round=rec.get("round"),
-                queries=len(members),
-                outcome=outcome,
+                "certificate_emitted",
+                query=str(query),
+                verdict=status.value,
+                clauses=len(certificate["clauses"]),
+                witnesses=len(certificate["witnesses"]),
             )
-        if outcome in ("budget", "error"):
-            reason = rec.get("reason")
-            for query in members:
-                if outcome == "budget":
-                    evidence[query].provenance.append(
-                        {"kind": "budget", "phase": "forward", "reason": reason}
-                    )
-                else:
-                    evidence[query].provenance.append(
-                        {"kind": "error", "phase": "forward", "error": reason}
-                    )
-                resolve(query, QueryStatus.EXHAUSTED, store=group.store)
-            return
-        if outcome == "impossible":
-            if group.store.choose_minimum() is not None:
-                raise JournalMismatch(
-                    "journal records an impossible round but the replayed "
-                    "store still has viable abstractions"
-                )
-            for query in members:
-                resolve(query, QueryStatus.IMPOSSIBLE, store=group.store)
-            return
-        if outcome != "ok":
-            raise JournalMismatch(f"unknown recorded round outcome {outcome!r}")
-        recorded_p = frozenset(rec.get("abstraction") or ())
-        p = group.store.choose_minimum()
-        if p != recorded_p:
-            raise JournalMismatch(
-                f"journal records abstraction {sorted(recorded_p)} but the "
-                "replayed store chooses "
-                f"{sorted(p) if p is not None else None}"
-            )
-        cached = bool(rec.get("cached"))
-        for query in members:
-            iterations[query] += 1
-            forward_runs[query] += 1
-            if cached:
-                cached_runs[query] += 1
-        try:
-            for qid in rec.get("proven", []):
-                resolve(by_id[qid], QueryStatus.PROVEN, p, store=group.store)
-            splits: Dict[Tuple, _Group] = {}
-            for entry in rec.get("survivors", []):
-                query = by_id[entry["query"]]
-                elapsed[query] += float(entry.get("seconds", 0.0))
-                steps_used[query] += float(entry.get("steps", 0.0))
-                for from_k, to_k in entry.get("degraded", []):
-                    evidence[query].provenance.append(
-                        {"kind": "degraded", "from_k": from_k, "to_k": to_k}
-                    )
-                entry_outcome = entry.get("outcome")
-                if entry_outcome == "clauses":
-                    max_disjuncts[query] = max(
-                        max_disjuncts[query],
-                        int(entry.get("max_disjuncts", 0)),
-                    )
-                    clauses = [
-                        clause_from_jsonable(c)
-                        for c in entry.get("clauses", [])
-                    ]
-                    probe = group.store.copy()
-                    added = probe.add_clauses(clauses)
-                    if not probe.excludes(p):
-                        raise JournalMismatch(
-                            f"replayed clauses for query {entry['query']!r} "
-                            "do not eliminate the recorded abstraction"
-                        )
-                    evidence[query].witnesses.append(
-                        {
-                            "abstraction": sorted(p),
-                            "k": entry.get("k"),
-                            "trace": entry.get("trace", []),
-                            "clauses": entry.get("clauses", []),
-                        }
-                    )
-                    signature = _clause_signature(added)
-                    bucket = splits.get(signature)
-                    if bucket is None:
-                        bucket = _Group(store=probe, queries=[])
-                        splits[signature] = bucket
-                    bucket.queries.append(query)
-                elif entry_outcome == "budget":
-                    evidence[query].provenance.append(
-                        {
-                            "kind": "budget",
-                            "phase": "backward",
-                            "reason": entry.get("reason"),
-                        }
-                    )
-                    resolve(query, QueryStatus.EXHAUSTED, store=group.store)
-                elif entry_outcome == "explosion":
-                    evidence[query].provenance.append(
-                        {"kind": "explosion", "phase": "backward"}
-                    )
-                    resolve(query, QueryStatus.EXHAUSTED, store=group.store)
-                elif entry_outcome == "error":
-                    evidence[query].provenance.append(
-                        {
-                            "kind": "error",
-                            "phase": "backward",
-                            "error": entry.get("reason"),
-                        }
-                    )
-                    resolve(query, QueryStatus.EXHAUSTED, store=group.store)
-                else:
-                    raise JournalMismatch(
-                        f"unknown recorded survivor outcome {entry_outcome!r}"
-                    )
-        except KeyError as error:
-            raise JournalMismatch(
-                f"journal names query {error.args[0]!r}, which is not in "
-                "the replayed group"
-            )
-        exhausted_ids = settle_buckets(splits, next_groups)
-        if rec.get("exhausted", []) != exhausted_ids:
-            raise JournalMismatch(
-                f"replay exhausted {exhausted_ids!r} at end of round, "
-                f"journal records {rec.get('exhausted')!r}"
-            )
-
-    round_index = 0
-    with obs.span("query_group", queries=len(queries)):
-        while groups:
-            next_groups: List[_Group] = []
-            for group in groups:
-                round_index += 1
-                if journal is not None and journal.replaying:
-                    rec = journal.replay_round(
-                        [str(q) for q in group.queries]
-                    )
-                    if rec is not None:
-                        if rec.get("round") != round_index:
-                            raise JournalMismatch(
-                                f"journal records round {rec.get('round')!r} "
-                                f"where the search reached round {round_index}"
-                            )
-                        with obs.span(
-                            "replay_round",
-                            phase="replay",
-                            round=round_index,
-                        ):
-                            apply_replay(group, rec, next_groups)
-                        continue
-                elif warm is not None and warm.replaying:
-                    rec = warm.replay_round([str(q) for q in group.queries])
-                    if rec is not None:
-                        if rec.get("round") != round_index:
-                            raise JournalMismatch(
-                                f"warm-start knowledge records round "
-                                f"{rec.get('round')!r} where the search "
-                                f"reached round {round_index}"
-                            )
-                        with obs.span(
-                            "replay_round",
-                            phase="replay",
-                            round=round_index,
-                        ):
-                            apply_replay(group, rec, next_groups)
-                        if journal is not None:
-                            # Write the replayed round through, so a
-                            # warm-started journal is bit-identical to
-                            # the cold search's journal.
-                            journal.record_round(rec)
-                        continue
-                elif clause_feed is not None:
-                    rec = clause_feed.drain(
-                        round_index, [str(q) for q in group.queries]
-                    )
-                    if rec is not None:
-                        with obs.span(
-                            "replay_round",
-                            phase="replay",
-                            round=round_index,
-                            source="bus",
-                        ):
-                            try:
-                                apply_replay(group, rec, next_groups)
-                            except JournalMismatch as exc:
-                                raise ClauseFeedMismatch(str(exc)) from exc
-                        if rec.get("abstraction"):
-                            feed_phantom.add(frozenset(rec["abstraction"]))
-                        if journal is not None:
-                            journal.record_round(rec)
-                        if obs.active():
-                            obs.event(
-                                "clause_imported",
-                                round=round_index,
-                                queries=len(group.queries),
-                                clauses=sum(
-                                    len(entry.get("clauses", []))
-                                    for entry in rec.get("survivors", [])
-                                ),
-                            )
-                        continue
-                with obs.span(
-                    "iteration",
-                    round=round_index,
-                    group_size=len(group.queries),
-                ) as iteration_span:
-                    started = clock()
-                    round_budget = make_budget(group.queries)
-                    failure: Optional[Tuple[str, BaseException]] = None
-                    p = None
-                    witnesses: Dict[Query, Optional[Trace]] = {}
-                    round_was_cached = False
-                    try:
-                        with robust_budget.budget_scope(round_budget):
-                            with obs.span(
-                                "choose", phase="synthesis"
-                            ) as choose_span:
-                                robust_faults.inject("choose")
-                                p = group.store.choose_minimum()
-                                choose_span.set(viable=p is not None)
-                            if p is not None:
-                                if obs.active():
-                                    iteration_span.set(
-                                        abstraction_cost=(
-                                            client.analysis.param_space.cost(p)
-                                        )
-                                    )
-                                with obs.span(
-                                    "counterexamples", phase="forward"
-                                ):
-                                    if forward_cache is not None:
-                                        hits_before = forward_cache.hits
-                                        witnesses = client.counterexamples(
-                                            group.queries,
-                                            p,
-                                            cache=forward_cache,
-                                        )
-                                        round_was_cached = (
-                                            forward_cache.hits > hits_before
-                                        )
-                                    else:
-                                        witnesses = client.counterexamples(
-                                            group.queries, p
-                                        )
-                    except BudgetExceeded as exc:
-                        failure = ("budget", exc)
-                    except Exception as exc:
-                        # Unexpected client failure during selection or
-                        # the forward phase.  In strict mode it is the
-                        # caller's bug to see; in lenient mode it costs
-                        # this group its round budget, never the run.
-                        if config.strict:
-                            raise
-                        failure = ("error", exc)
-                    if (
-                        not round_was_cached
-                        and p is not None
-                        and forward_cache is not None
-                        and frozenset(p) in feed_phantom
-                    ):
-                        # A bus-drained round already ran this
-                        # abstraction's fixpoint in the publishing
-                        # worker; the uninterrupted search would have
-                        # hit its forward cache here.
-                        round_was_cached = True
-                    # Selection + forward-run time (and budget steps)
-                    # is shared by every member; charge it *before*
-                    # resolving so queries proven this round carry
-                    # their share but none of the backward time below.
-                    round_seconds = clock() - started
-                    round_steps = (
-                        round_budget.steps if round_budget is not None else 0.0
-                    )
-                    _charge(group.queries, round_seconds, elapsed)
-                    if round_budget is not None:
-                        _charge(group.queries, round_steps, steps_used)
-                    round_record = {
-                        "round": round_index,
-                        "queries": [str(q) for q in group.queries],
-                        "outcome": "ok",
-                        "reason": None,
-                        "abstraction": sorted(p) if p is not None else None,
-                        "cached": round_was_cached,
-                        "seconds": round_seconds,
-                        "steps": round_steps,
-                        "proven": [],
-                        "survivors": [],
-                        "exhausted": [],
-                    }
-                    if failure is not None:
-                        kind, exc = failure
-                        if kind == "budget":
-                            reason = exc.reason
-                            obs.event(
-                                "budget_exceeded",
-                                phase="forward",
-                                reason=exc.reason,
-                                queries=len(group.queries),
-                            )
-                        else:
-                            reason = repr(exc)
-                            obs.event(
-                                "degraded",
-                                reason="forward_error",
-                                error=repr(exc),
-                                queries=len(group.queries),
-                            )
-                        iteration_span.set(outcome=kind)
-                        for query in group.queries:
-                            if kind == "budget":
-                                evidence[query].provenance.append(
-                                    {
-                                        "kind": "budget",
-                                        "phase": "forward",
-                                        "reason": reason,
-                                    }
-                                )
-                            else:
-                                evidence[query].provenance.append(
-                                    {
-                                        "kind": "error",
-                                        "phase": "forward",
-                                        "error": reason,
-                                    }
-                                )
-                            resolve(
-                                query, QueryStatus.EXHAUSTED, store=group.store
-                            )
-                        if journal is not None:
-                            round_record["outcome"] = kind
-                            round_record["reason"] = reason
-                            journal.record_round(round_record)
-                        continue
-                    if p is None:
-                        for query in group.queries:
-                            resolve(
-                                query,
-                                QueryStatus.IMPOSSIBLE,
-                                store=group.store,
-                            )
-                        if journal is not None:
-                            round_record["outcome"] = "impossible"
-                            journal.record_round(round_record)
-                        continue
-                    survivors: List[Query] = []
-                    for query in group.queries:
-                        iterations[query] += 1
-                        forward_runs[query] += 1
-                        if round_was_cached:
-                            cached_runs[query] += 1
-                        if witnesses[query] is None:
-                            if obs.detail_enabled():
-                                obs.event(
-                                    "iteration_detail",
-                                    query=str(query),
-                                    index=iterations[query],
-                                    proven=True,
-                                    abstraction=sorted(p),
-                                )
-                            round_record["proven"].append(str(query))
-                            resolve(
-                                query,
-                                QueryStatus.PROVEN,
-                                p,
-                                store=group.store,
-                            )
-                        else:
-                            survivors.append(query)
-                    iteration_span.set(
-                        cached=round_was_cached,
-                        proven=len(group.queries) - len(survivors),
-                        survivors=len(survivors),
-                    )
-                    # Backward meta-analysis per failing query; split
-                    # the group by the clause sets learned.  Each
-                    # survivor is charged its own backward pass, not an
-                    # equal share of the round.
-                    splits: Dict[Tuple, _Group] = {}
-                    for query in survivors:
-                        trace = witnesses[query]
-                        entry = {
-                            "query": str(query),
-                            "outcome": None,
-                            "reason": None,
-                            "seconds": 0.0,
-                            "steps": 0.0,
-                            "k": None,
-                            "max_disjuncts": 0,
-                            "degraded": [],
-                            "trace": (
-                                trace_to_jsonable(trace) if recording else []
-                            ),
-                            "clauses": [],
-                        }
-                        round_record["survivors"].append(entry)
-                        with obs.span(
-                            "backward", phase="backward", query=str(query)
-                        ) as backward_span:
-                            backward_started = clock()
-                            query_budget = make_budget([query])
-
-                            def charge_backward(
-                                _query=query,
-                                _started=backward_started,
-                                _budget=query_budget,
-                                _entry=entry,
-                            ) -> None:
-                                seconds = clock() - _started
-                                elapsed[_query] += seconds
-                                _entry["seconds"] = seconds
-                                if _budget is not None:
-                                    steps_used[_query] += _budget.steps
-                                    _entry["steps"] = _budget.steps
-
-                            def attempt(width, _trace=trace, _query=query):
-                                robust_faults.inject("backward")
-                                return backward_trace(
-                                    client.meta,
-                                    client.analysis,
-                                    _trace,
-                                    p,
-                                    d_init,
-                                    client.fail_condition(_query),
-                                    k=width,
-                                    max_cubes=config.max_cubes,
-                                )
-
-                            def on_degrade(
-                                failed_k, next_k, _query=query, _entry=entry
-                            ):
-                                _entry["degraded"].append([failed_k, next_k])
-                                evidence[_query].provenance.append(
-                                    {
-                                        "kind": "degraded",
-                                        "from_k": failed_k,
-                                        "to_k": next_k,
-                                    }
-                                )
-                                obs.event(
-                                    "degraded",
-                                    reason="formula_explosion",
-                                    query=str(_query),
-                                    from_k=failed_k,
-                                    to_k=next_k,
-                                )
-
-                            try:
-                                with robust_budget.budget_scope(query_budget):
-                                    result, used_k = run_with_degradation(
-                                        attempt,
-                                        config.k,
-                                        config.k_min,
-                                        on_degrade,
-                                    )
-                                max_disjuncts[query] = max(
-                                    max_disjuncts[query], result.max_disjuncts
-                                )
-                                probe = group.store.copy()
-                                added = probe.add_failure_condition(
-                                    result.condition
-                                )
-                                if not probe.excludes(p):
-                                    raise ProgressError(
-                                        f"query {query!r}: abstraction "
-                                        f"{sorted(p)} was not eliminated by "
-                                        "its own counterexample"
-                                    )
-                            except BudgetExceeded as exc:
-                                charge_backward()
-                                entry["outcome"] = "budget"
-                                entry["reason"] = exc.reason
-                                evidence[query].provenance.append(
-                                    {
-                                        "kind": "budget",
-                                        "phase": "backward",
-                                        "reason": exc.reason,
-                                    }
-                                )
-                                backward_span.set(outcome="budget")
-                                obs.event(
-                                    "budget_exceeded",
-                                    phase="backward",
-                                    reason=exc.reason,
-                                    query=str(query),
-                                )
-                                resolve(
-                                    query,
-                                    QueryStatus.EXHAUSTED,
-                                    store=group.store,
-                                )
-                                continue
-                            except FormulaExplosion:
-                                # The meta-analysis formula outgrew the
-                                # budget even at the narrowest beam of
-                                # the degradation ladder (the analogue
-                                # of the paper's k=None memory
-                                # blow-ups): give up on this query
-                                # rather than on the run.
-                                charge_backward()
-                                entry["outcome"] = "explosion"
-                                evidence[query].provenance.append(
-                                    {"kind": "explosion", "phase": "backward"}
-                                )
-                                backward_span.set(outcome="explosion")
-                                resolve(
-                                    query,
-                                    QueryStatus.EXHAUSTED,
-                                    store=group.store,
-                                )
-                                continue
-                            except Exception as exc:
-                                # ProgressError or an unexpected client
-                                # failure: fatal in strict mode,
-                                # contained to this query otherwise.
-                                if config.strict:
-                                    raise
-                                charge_backward()
-                                entry["outcome"] = "error"
-                                entry["reason"] = repr(exc)
-                                evidence[query].provenance.append(
-                                    {
-                                        "kind": "error",
-                                        "phase": "backward",
-                                        "error": repr(exc),
-                                    }
-                                )
-                                backward_span.set(outcome="error")
-                                obs.event(
-                                    "degraded",
-                                    reason="backward_error",
-                                    query=str(query),
-                                    error=repr(exc),
-                                )
-                                resolve(
-                                    query,
-                                    QueryStatus.EXHAUSTED,
-                                    store=group.store,
-                                )
-                                continue
-                            if used_k != config.k:
-                                backward_span.set(degraded_to=used_k)
-                            if obs.active():
-                                backward_span.set(
-                                    steps=len(trace),
-                                    max_disjuncts=result.max_disjuncts,
-                                    step_disjuncts=result.step_disjuncts,
-                                    subsumption_drops=result.subsumption_drops,
-                                    beam_prunes=result.beam_prunes,
-                                    clauses=len(added),
-                                )
-                            if obs.detail_enabled():
-                                states = forward_states(
-                                    client.analysis, trace, p, d_init
-                                )
-                                obs.event(
-                                    "iteration_detail",
-                                    query=str(query),
-                                    index=iterations[query],
-                                    proven=False,
-                                    abstraction=sorted(p),
-                                    commands=[pretty_command(c) for c in trace],
-                                    forward_states=[str(s) for s in states],
-                                    backward_formulas=[
-                                        str(f) for f in result.intermediate
-                                    ],
-                                )
-                            entry["outcome"] = "clauses"
-                            entry["k"] = used_k
-                            entry["max_disjuncts"] = result.max_disjuncts
-                            entry["clauses"] = [
-                                clause_to_jsonable(c) for c in added
-                            ]
-                            if recording:
-                                evidence[query].witnesses.append(
-                                    {
-                                        "abstraction": sorted(p),
-                                        "k": used_k,
-                                        "trace": entry["trace"],
-                                        "clauses": entry["clauses"],
-                                    }
-                                )
-                            signature = _clause_signature(added)
-                            bucket = splits.get(signature)
-                            if bucket is None:
-                                bucket = _Group(store=probe, queries=[])
-                                splits[signature] = bucket
-                            bucket.queries.append(query)
-                            charge_backward()
-                    round_record["exhausted"] = settle_buckets(
-                        splits, next_groups
-                    )
-                    if journal is not None:
-                        journal.record_round(round_record)
-                    if clause_feed is not None:
-                        before = clause_feed.published
-                        clause_feed.publish(round_record)
-                        if clause_feed.published > before:
-                            if obs.active():
-                                obs.event(
-                                    "clause_published",
-                                    round=round_index,
-                                    queries=len(group.queries),
-                                    clauses=sum(
-                                        len(entry.get("clauses", []))
-                                        for entry in round_record["survivors"]
-                                    ),
-                                )
-            groups = next_groups
-    return records
 
 
 def _charge(queries: Sequence[Query], amount: float, elapsed: Dict) -> None:
     """Attribute ``amount`` seconds of shared work equally to ``queries``."""
-    if not queries:
+    if not queries or not amount:
         return
     share = amount / len(queries)
     for query in queries:

@@ -21,12 +21,16 @@ rounds instead of re-running their forward fixpoints.  A first attempt
 of a task never reads the bus: nobody can have published for its scope
 yet.
 Crucially, a drained round is **never trusted**: it is replayed
-through :func:`repro.core.tracer.apply_replay`, whose per-survivor
-``ViabilityStore.add_clauses`` + ``excludes`` probes re-validate every
-imported clause against this process's own store before any of it can
-prune the search.  A record that fails re-validation raises
-:class:`ClauseFeedMismatch` and the importer falls back to solving the
-round cold.
+through the driver's one replay step (``_Search.replay`` in
+:mod:`repro.core.tracer`, shared with journal resume and the
+warm-start replay tier), which checks the record's group ids and
+round index, recomputes the minimum-cost abstraction and compares it
+with the recorded one, probes that each survivor's clauses refute it
+(``ViabilityStore.add_clauses`` + ``excludes`` on a copy of this
+process's own store) before any of them can prune the search, and
+compares the end-of-round exhausted list.  A record that fails those
+checks, or does not decode, raises :class:`ClauseFeedMismatch` and the
+importer falls back to solving the group cold.
 
 Only ``"ok"`` rounds travel: budget and error outcomes are
 wall-clock-dependent (re-running them may legitimately differ), and
@@ -253,13 +257,14 @@ class ClauseBus:
 class ClauseFeed:
     """A single task's view of the bus, handed to the tracer.
 
-    The tracer calls :meth:`drain` before solving each round — a hit
-    means a sibling already finished that exact round for this scope
-    and the record can be replayed through the re-validation path —
-    and :meth:`publish` after recording each successful round.
+    The feed is a round source like a resumed journal: the tracer asks
+    :meth:`recorded_round` before solving each round — a hit means a
+    sibling already finished that exact round for this scope and the
+    record can be replayed through the re-validation path — and calls
+    :meth:`publish` after recording each successful round.
     ``replay=False`` (a task's first attempt, which nobody can have
-    published for) makes :meth:`drain` answer ``None`` without reading
-    the bus.
+    published for) makes :meth:`recorded_round` answer ``None`` without
+    reading the bus.
     """
 
     def __init__(self, bus: ClauseBus, scope: str, replay: bool = True):
@@ -269,7 +274,7 @@ class ClauseFeed:
         self.imported = 0
         self.published = 0
 
-    def drain(
+    def recorded_round(
         self, round_index: int, queries: Sequence[str]
     ) -> Optional[dict]:
         if not self.replay:

@@ -20,8 +20,12 @@ uninterrupted one, including the certificate evidence.  Each replayed
 round is integrity-checked against the store: the recomputed
 minimum-cost abstraction must equal the recorded one, and every
 replayed clause set must still exclude it; a journal that fails those
-checks (stale, foreign, or tampered) raises :class:`JournalMismatch`
-rather than replaying garbage.
+checks, or whose record does not decode (stale, foreign, or tampered),
+raises :class:`JournalMismatch` rather than replaying garbage.  The
+replay itself is the driver's one replay step
+(``_Search.replay`` in :mod:`repro.core.tracer`), shared with the
+warm-start replay tier and the clause bus; a journal is just one
+:class:`RecordedRounds` source of recorded rounds.
 
 Record types (``journal_header`` first, then ``round`` records in
 execution order)::
@@ -50,7 +54,7 @@ are strings.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.lang.ast import (
     Assign,
@@ -71,6 +75,7 @@ from repro.robust.checkpoint import JsonlAppender, scan_jsonl
 
 __all__ = [
     "JournalMismatch",
+    "RecordedRounds",
     "RoundCollector",
     "SearchJournal",
     "clause_from_jsonable",
@@ -169,9 +174,38 @@ def load_journal(path: str) -> Tuple[Optional[dict], List[dict]]:
     return header, rounds
 
 
-class SearchJournal:
-    """One ``run_query_group`` call's journal: a replay cursor over the
-    recorded rounds plus a crash-safe appender for new ones.
+class RecordedRounds:
+    """The recorded rounds of one search, handed back in order — the
+    round source of journal resume and of the warm-start replay tier.
+
+    The driver asks once per round, before solving it, for "the
+    recorded round for this round index and group"; a cursor answers
+    with its next record, and ``None`` once all are replayed (the
+    search goes live).  Whether the record really describes that round
+    is the driver's replay step to check."""
+
+    def __init__(self, rounds: Sequence[dict] = ()):
+        self.rounds = list(rounds)
+        self.replayed_rounds = 0
+
+    @property
+    def replaying(self) -> bool:
+        """Whether recorded rounds remain to be replayed."""
+        return self.replayed_rounds < len(self.rounds)
+
+    def recorded_round(
+        self, round_index: int, query_ids: Sequence[str]
+    ) -> Optional[dict]:
+        index = self.replayed_rounds
+        if index >= len(self.rounds):
+            return None
+        self.replayed_rounds = index + 1
+        return self.rounds[index]
+
+
+class SearchJournal(RecordedRounds):
+    """One ``run_query_group`` call's journal: the recorded rounds to
+    replay plus a crash-safe appender for new ones.
 
     ``resume=False`` starts a fresh journal (an existing file is
     truncated — a journal describes exactly one search); ``resume=True``
@@ -180,25 +214,18 @@ class SearchJournal:
 
     def __init__(self, path: str, resume: bool = False):
         self.path = path
-        self.replayed_rounds = 0
-        self._cursor = 0
-        self._rounds: List[dict] = []
         self._header: Optional[dict] = None
+        rounds: List[dict] = []
         if resume:
-            self._header, self._rounds = load_journal(path)
-            if self._header is None and self._rounds:
+            self._header, rounds = load_journal(path)
+            if self._header is None and rounds:
                 raise ValueError(f"{path}: journal has rounds but no header")
-            self._appender = JsonlAppender(path)
         else:
             # A fresh journal: drop any previous contents.
             with open(path, "w"):
                 pass
-            self._appender = JsonlAppender(path)
-        self._replaying = resume and bool(self._rounds)
-
-    @property
-    def replaying(self) -> bool:
-        return self._replaying
+        super().__init__(rounds)
+        self._appender = JsonlAppender(path)
 
     def begin(self, query_ids: List[str]) -> None:
         """Open the journal for this query set: validate the header on
@@ -219,33 +246,10 @@ class SearchJournal:
             self._appender.append(header)
             self._header = header
 
-    def replay_round(self, query_ids: List[str]) -> Optional[dict]:
-        """The next recorded round if it matches the group about to
-        run, else ``None`` (the journal is exhausted and the search
-        goes live).  A recorded round for a *different* group is a
-        divergence and raises — replay is all-or-nothing up to the
-        crash point."""
-        if not self._replaying:
-            return None
-        if self._cursor >= len(self._rounds):
-            self._replaying = False
-            return None
-        record = self._rounds[self._cursor]
-        if record.get("queries") != list(query_ids):
-            raise JournalMismatch(
-                f"{self.path}: round {record.get('round')} was recorded "
-                f"for group {record.get('queries')!r}, but the search "
-                f"reached group {list(query_ids)!r}"
-            )
-        self._cursor += 1
-        self.replayed_rounds += 1
-        return record
-
     def record_round(self, record: dict) -> None:
-        """Append one live round (no-op while still replaying — the
-        record is already on disk)."""
-        if self._replaying:
-            return
+        """Append one round the search ran live or replayed from
+        another source (its own recorded rounds are already on
+        disk)."""
         self._appender.append(dict(record, type="round"))
 
     def close(self) -> None:
@@ -267,7 +271,7 @@ class RoundCollector:
     knowledge store without touching disk; when ``inner`` is given
     (the caller's real journal), every call is forwarded to it too, so
     the on-disk journal stays byte-identical to what the driver would
-    have written directly.  Never replays — replay belongs to the real
+    have written directly.  Records only: replay belongs to the real
     journal or to :class:`~repro.core.tracer.WarmStart`."""
 
     def __init__(self, inner=None):
@@ -275,20 +279,15 @@ class RoundCollector:
         self.query_ids: Optional[List[str]] = None
         self.rounds: List[dict] = []
 
-    @property
-    def replaying(self) -> bool:
-        return False
-
     def begin(self, query_ids: List[str]) -> None:
         self.query_ids = list(query_ids)
         if self.inner is not None:
             self.inner.begin(query_ids)
 
-    def replay_round(self, query_ids: List[str]) -> Optional[dict]:
-        return None
-
     def record_round(self, record: dict) -> None:
-        self.rounds.append({k: v for k, v in record.items() if k != "type"})
+        record = dict(record)
+        record.pop("type", None)
+        self.rounds.append(record)
         if self.inner is not None:
             self.inner.record_round(record)
 

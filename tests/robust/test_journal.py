@@ -2,12 +2,17 @@
 detection, and crash tolerance of the underlying JSONL file."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.bench.harness import DEFAULT_CONFIG, analysis_setups, prepare
 from repro.core import Tracer, TracerConfig
 from repro.core.stats import QueryStatus
+from repro.core.tracer import WarmStart, run_query_group
 from repro.lang import parse_program
+from repro.robust.certify import CertificateStore
+from repro.robust.faults import FaultPlan, fault_scope
 from repro.robust.journal import (
     JOURNAL_VERSION,
     JournalMismatch,
@@ -226,3 +231,152 @@ class TestReplayPhase:
         ]
         assert bus_spans
         assert {record["phase"] for record in bus_spans} == {"replay"}
+
+
+#: The bench configuration with a deterministic step budget checked on
+#: every tick, so some backward passes run out of steps.
+STEPPED = replace(DEFAULT_CONFIG, max_steps=3000, budget_check_every=1)
+
+
+@pytest.fixture(scope="module")
+def hedc_escape():
+    """hedc's escape unit: 30 rounds under the bench configuration, two
+    of them forward-cache hits."""
+    ((client, queries),) = analysis_setups(prepare("hedc"), "escape")
+    return client, queries
+
+
+def _outcomes(records):
+    return {
+        str(query): (
+            record.status,
+            record.iterations,
+            record.forward_runs,
+            record.forward_cache_hits,
+            record.abstraction,
+            record.abstraction_cost,
+            record.max_disjuncts,
+        )
+        for query, record in records.items()
+    }
+
+
+def _without_seconds(path):
+    """A journal's records with their wall-clock charges dropped."""
+    records = []
+    with open(path) as handle:
+        for line in handle:
+            record = json.loads(line)
+            record.pop("seconds", None)
+            for survivor in record.get("survivors", []):
+                survivor.pop("seconds", None)
+            records.append(record)
+    return records
+
+
+class TestResumeFromEveryCut:
+    """A search resumed from its journal cut after any round reproduces
+    the uninterrupted one, forward-cache hits and ``cached`` flags
+    included: a live round that re-chooses a replayed round's
+    abstraction finds its fixpoint cached, as the uninterrupted search
+    did, without paying for it from its own budget."""
+
+    @pytest.mark.parametrize(
+        "config", [DEFAULT_CONFIG, STEPPED], ids=["default", "max_steps"]
+    )
+    def test_every_cut_resumes_to_the_uninterrupted_search(
+        self, tmp_path, hedc_escape, config
+    ):
+        client, queries = hedc_escape
+        path = str(tmp_path / "journal.jsonl")
+
+        def solve(journal):
+            with journal:
+                return _outcomes(
+                    run_query_group(client, queries, config, journal=journal)
+                )
+
+        expected = solve(SearchJournal(path))
+        expected_journal = _without_seconds(path)
+        assert any(record.get("cached") for record in expected_journal)
+        with open(path) as handle:
+            lines = handle.readlines()
+        for cut in range(1, len(lines) - 1):
+            with open(path, "w") as handle:
+                handle.writelines(lines[: cut + 1])
+            assert solve(SearchJournal(path, resume=True)) == expected, cut
+            assert _without_seconds(path) == expected_journal, cut
+
+
+#: Faults that make a lenient search record every kind of outcome.
+FAULTS = (
+    "backward:raise:at=2",
+    "backward:raise:error=explosion,at=6",
+    "backward:raise:error=explosion,at=10,times=5",
+    "forward_run:raise:at=4",
+)
+
+
+class TestEveryOutcomeReplays:
+    """Every round and survivor outcome a journal can hold replays to
+    the recorded search's records and certificates, by journal resume
+    and by the warm-start replay tier."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, hedc_escape, tmp_path_factory):
+        client, queries = hedc_escape
+        path = str(tmp_path_factory.mktemp("outcomes") / "journal.jsonl")
+        certificates = CertificateStore()
+        with fault_scope(FaultPlan.from_specs(FAULTS)):
+            with SearchJournal(path) as journal:
+                records = run_query_group(
+                    client,
+                    queries,
+                    STEPPED,
+                    journal=journal,
+                    certificates=certificates,
+                )
+        return path, _outcomes(records), certificates.certificates
+
+    def test_journal_holds_every_outcome(self, recorded):
+        _header, rounds = load_journal(recorded[0])
+        survivors = [s for r in rounds for s in r["survivors"]]
+        assert {r["outcome"] for r in rounds} == {"ok", "impossible", "error"}
+        assert {s["outcome"] for s in survivors} == {
+            "clauses", "budget", "explosion", "error",
+        }
+        assert any(s["degraded"] for s in survivors)
+
+    def test_journal_resume_replays_every_outcome(
+        self, recorded, hedc_escape, tmp_path
+    ):
+        client, queries = hedc_escape
+        path, outcomes, certificates = recorded
+        copy = tmp_path / "journal.jsonl"
+        with open(path, "rb") as handle:
+            copy.write_bytes(handle.read())
+        replayed = CertificateStore()
+        with SearchJournal(str(copy), resume=True) as journal:
+            records = run_query_group(
+                client,
+                queries,
+                STEPPED,
+                journal=journal,
+                certificates=replayed,
+            )
+        assert journal.replayed_rounds == len(load_journal(path)[1])
+        assert _outcomes(records) == outcomes
+        assert replayed.certificates == certificates
+
+    def test_warm_start_replays_every_outcome(self, recorded, hedc_escape):
+        client, queries = hedc_escape
+        path, outcomes, certificates = recorded
+        rounds = load_journal(path)[1]
+        warm = WarmStart(rounds=rounds)
+        replayed = CertificateStore()
+        records = run_query_group(
+            client, queries, STEPPED, certificates=replayed, warm_start=warm
+        )
+        assert warm.replayed_rounds == len(rounds)
+        assert _outcomes(records) == outcomes
+        assert replayed.certificates == certificates

@@ -341,12 +341,12 @@ class TestClauseBus:
         feed.publish({"round": 2, "queries": ["q"], "outcome": "ok"})
         assert feed.published == 1
         sibling = ClauseFeed(ClauseBus(path, worker="w2"), scope="t1")
-        assert sibling.drain(1, ["q"]) is None
-        assert sibling.drain(2, ["q"]) == {
+        assert sibling.recorded_round(1, ["q"]) is None
+        assert sibling.recorded_round(2, ["q"]) == {
             "round": 2, "queries": ["q"], "outcome": "ok",
         }
         assert sibling.imported == 1
         # A different scope never sees it: rounds are per task.
         assert ClauseFeed(
             ClauseBus(path, worker="w3"), scope="t2"
-        ).drain(2, ["q"]) is None
+        ).recorded_round(2, ["q"]) is None

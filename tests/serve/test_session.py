@@ -221,8 +221,31 @@ class TestClauseTier:
         assert result.mode == "cold"
 
 
+def _first_clauses(entry):
+    """The first recorded survivor entry that learned clauses."""
+    return next(
+        survivor
+        for rnd in entry["rounds"]
+        for survivor in rnd["survivors"]
+        if survivor["clauses"]
+    )
+
+
+def _clause_literal_not_a_pair(entry):
+    _first_clauses(entry)["clauses"][0] = [1]
+
+
+def _seconds_not_a_number(entry):
+    entry["rounds"][0]["seconds"] = "fast"
+
+
+def _survivors_not_entries(entry):
+    rnd = next(rnd for rnd in entry["rounds"] if rnd["survivors"])
+    rnd["survivors"] = [s["query"] for s in rnd["survivors"]]
+
+
 class TestStaleEntries:
-    def test_tampered_entry_falls_back_to_cold(self, tmp_path):
+    def _assert_stale_then_cold(self, tmp_path, tamper):
         store_path = str(tmp_path / "store.jsonl")
         with KnowledgeStore(store_path) as store:
             session = AnalysisSession(store=store)
@@ -238,7 +261,7 @@ class TestStaleEntries:
             # Tamper with the recorded rounds: the replay integrity
             # checks must reject the entry, forget it, and re-run cold
             # — a bad store costs time, never answers.
-            entry["rounds"][0]["queries"] = ["typestate:bogus"]
+            tamper(entry)
             fresh = AnalysisSession(store=store)
             client2, _ = _typestate(fresh)
             certs = CertificateStore()
@@ -253,6 +276,25 @@ class TestStaleEntries:
                 assert result.records[query].status.value in (
                     "proven", "impossible", "exhausted",
                 )
+
+    def test_tampered_entry_falls_back_to_cold(self, tmp_path):
+        def foreign_group(entry):
+            entry["rounds"][0]["queries"] = ["typestate:bogus"]
+
+        self._assert_stale_then_cold(tmp_path, foreign_group)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _clause_literal_not_a_pair,
+            _seconds_not_a_number,
+            _survivors_not_entries,
+        ],
+    )
+    def test_malformed_entry_falls_back_to_cold(self, tmp_path, tamper):
+        """A recorded round that does not decode is a mismatch like one
+        that fails a check, not an error out of the solve."""
+        self._assert_stale_then_cold(tmp_path, tamper)
 
 
 class TestJournalPrecedence:
