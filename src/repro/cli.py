@@ -938,6 +938,8 @@ def _cmd_submit(args) -> int:
         )
     except ServeError as error:
         _die(str(error))
+    finally:
+        client.close()
     entry = reply["results"][0]
     print(f"store: {reply['mode']}", file=sys.stderr)
     if entry["verdict"] == QueryStatus.PROVEN.value:

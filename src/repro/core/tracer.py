@@ -36,7 +36,7 @@ import time
 import types
 import warnings
 import weakref
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import (
     Callable,
@@ -58,7 +58,7 @@ from repro.core.meta import (
 )
 from repro.core.parametric import ParametricAnalysis
 from repro.core.stats import QueryRecord, QueryStatus
-from repro.core.viability import ParamTheory, ViabilityStore
+from repro.core.viability import ParamTheory, ViabilityStore, refutes
 from repro.lang.ast import Trace
 from repro.lang.pretty import pretty_command
 from repro.obs import metrics as obs_metrics
@@ -76,9 +76,12 @@ from repro.robust.clausebus import ClauseFeedMismatch
 from repro.robust.degrade import run_with_degradation
 from repro.robust.journal import (
     JournalMismatch,
+    RecordedRound,
     RecordedRounds,
     SearchJournal,
+    Survivor,
     clause_from_jsonable,
+    clause_signature,
     clause_to_jsonable,
     trace_to_jsonable,
 )
@@ -90,12 +93,12 @@ def hash_once(cls):
     """Give the frozen dataclass ``cls`` a hash computed once per object
     and process.
 
-    Queries key the dicts of the search and of a daemon's replay reads,
-    and a frozen dataclass rebuilds its field tuple on every hash.  The
-    value is the dataclass's own (the hash of the field tuple); it is
-    kept outside the fields, so equality and ``repr`` ignore it, and it
-    is never pickled: string hashes differ between processes with
-    different hash seeds."""
+    Queries key a search's records and the dicts callers build from
+    them, and a frozen dataclass rebuilds its field tuple on every
+    hash.  The value is the dataclass's own (the hash of the field
+    tuple); it is kept outside the fields, so equality and ``repr``
+    ignore it, and it is never pickled: string hashes differ between
+    processes with different hash seeds."""
     names = tuple(item.name for item in fields(cls))
 
     def __hash__(self) -> int:
@@ -417,12 +420,14 @@ class WarmStart(RecordedRounds):
 
     ``queries`` is the query-id list the knowledge was recorded for;
     :meth:`begin` rejects a mismatched search the same way a resumed
-    journal would.
+    journal would.  ``rounds`` holds JSON round records or the
+    :class:`~repro.robust.journal.RecordedRound` objects a knowledge
+    store keeps for an entry (see :class:`RecordedRounds`).
     """
 
     def __init__(
         self,
-        rounds: Sequence[dict] = (),
+        rounds: Sequence = (),
         clauses: Optional[Dict[str, Sequence]] = None,
         digests: Optional[Dict[str, Tuple[Tuple[str, ...], str]]] = None,
         queries: Optional[Sequence[str]] = None,
@@ -456,12 +461,47 @@ class WarmStart(RecordedRounds):
         return digest
 
 
+class _QueryState:
+    """One query's part of a search: the counters its record is built
+    from, its id, and — only when certificates are collected — its
+    evidence.  Groups hold these, so the round loop and the outcome
+    rules reach a query's counters without hashing the query."""
+
+    __slots__ = (
+        "query",
+        "id",
+        "iterations",
+        "elapsed",
+        "steps",
+        "forward_runs",
+        "cached_runs",
+        "max_disjuncts",
+        "evidence",
+    )
+
+    def __init__(self, query: Query, evidence: Optional[QueryEvidence]):
+        self.query = query
+        self.id = str(query)
+        self.iterations = 0
+        self.elapsed = 0.0
+        self.steps = 0.0
+        self.forward_runs = 0
+        self.cached_runs = 0
+        self.max_disjuncts = 0
+        self.evidence = evidence
+
+    def note(self, entry: dict) -> None:
+        """Add ``entry`` to the certificate provenance, if collected."""
+        if self.evidence is not None:
+            self.evidence.provenance.append(entry)
+
+
 @dataclass
 class _Group:
     """One group of queries sharing an identical unviable set."""
 
     store: ViabilityStore
-    queries: List[Query]
+    states: List[_QueryState]
 
 
 class Tracer:
@@ -619,45 +659,13 @@ def run_query_group(
 
 
 @dataclass
-class _Survivor:
-    """One failing query's backward pass in a round, as the outcome
-    rules read it: a round record's survivor entry, plus — for the
-    ``"clauses"`` outcome — the learned clauses (``added``) and the
-    group's store with them (``store``).  ``trace`` and ``clauses`` are
-    the record's JSON forms, kept only for evidence."""
-
-    query: Query
-    outcome: Optional[str] = None
-    reason: Optional[str] = None
-    seconds: float = 0.0
-    steps: float = 0.0
-    k: Optional[int] = None
-    max_disjuncts: int = 0
-    degraded: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
-    clauses: list = field(default_factory=list)
-    added: Sequence = ()
-    store: Optional[ViabilityStore] = None
-
-    def entry(self) -> dict:
-        return {
-            "query": str(self.query),
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "seconds": self.seconds,
-            "steps": self.steps,
-            "k": self.k,
-            "max_disjuncts": self.max_disjuncts,
-            "degraded": self.degraded,
-            "trace": self.trace,
-            "clauses": self.clauses,
-        }
-
-
-@dataclass
 class _Round:
-    """One CEGAR round of one group, as the outcome rules read it and a
-    round record stores it (the schema is in :mod:`repro.robust.journal`)."""
+    """One live CEGAR round of one group, as the outcome rules read it
+    (the fields of a decoded :class:`~repro.robust.journal.RecordedRound`)
+    and a round record stores it (the schema is in
+    :mod:`repro.robust.journal`).  ``trace`` and ``clauses`` of its
+    survivors are made only when something reads them (the journal,
+    the bus or certificate evidence)."""
 
     outcome: str = "ok"
     reason: Optional[str] = None
@@ -665,8 +673,8 @@ class _Round:
     cached: bool = False
     seconds: float = 0.0
     steps: float = 0.0
-    proven: List[Query] = field(default_factory=list)
-    survivors: List[_Survivor] = field(default_factory=list)
+    proven: List[_QueryState] = field(default_factory=list)
+    survivors: List[Survivor] = field(default_factory=list)
     exhausted: list = field(default_factory=list)
 
     def record(self, round_index: int, query_ids: List[str]) -> dict:
@@ -679,42 +687,38 @@ class _Round:
             "cached": self.cached,
             "seconds": self.seconds,
             "steps": self.steps,
-            "proven": [str(q) for q in self.proven],
+            "proven": [state.id for state in self.proven],
             "survivors": [survivor.entry() for survivor in self.survivors],
             "exhausted": self.exhausted,
         }
 
 
 def _recorded_round(
-    rec: dict, group: _Group, round_index: int, query_ids: List[str]
-) -> _Round:
-    """Decode the recorded round ``rec`` and check it against the
-    search about to replay it: its round index and group, the
-    recomputed minimum-cost abstraction (none left for an impossible
-    round), and that each survivor's clauses refute it.  Raises
+    rec: RecordedRound, group: _Group, round_index: int, query_ids: List[str]
+) -> Tuple[RecordedRound, List[_QueryState], list]:
+    """Decode the recorded round ``rec`` (once: a store entry keeps its
+    decoded rounds) and check it against the search about to replay it:
+    its round index and group, the recomputed minimum-cost abstraction
+    (none left for an impossible round), and that each survivor's
+    clauses refute it.  Returns the decoded round, its proven members,
+    and its survivors as ``(member, survivor)`` pairs.  Raises
     :class:`JournalMismatch` on a failed check, and ``KeyError``,
     ``TypeError``, ``ValueError`` or ``AttributeError`` on a field that
     does not decode."""
-    if rec.get("round") != round_index:
+    rnd = rec.decode()
+    if rnd.round != round_index:
         raise JournalMismatch(
-            f"recorded round {rec.get('round')!r} where the search reached "
+            f"recorded round {rnd.round!r} where the search reached "
             f"round {round_index}"
         )
-    if rec.get("queries") != query_ids:
+    if rnd.queries != query_ids:
         raise JournalMismatch(
             f"round {round_index} was recorded for group "
-            f"{rec.get('queries')!r}, but the search reached group "
+            f"{rnd.queries!r}, but the search reached group "
             f"{query_ids!r}"
         )
-    rnd = _Round(
-        outcome=rec.get("outcome"),
-        reason=rec.get("reason"),
-        cached=bool(rec.get("cached")),
-        seconds=float(rec.get("seconds", 0.0)),
-        steps=float(rec.get("steps", 0.0)),
-    )
     if rnd.outcome in ("budget", "error"):
-        return rnd
+        return rnd, [], []
     chosen = group.store.choose_minimum()
     if rnd.outcome == "impossible":
         if chosen is not None:
@@ -722,55 +726,43 @@ def _recorded_round(
                 "an impossible round was recorded but the replayed store "
                 "still has viable abstractions"
             )
-        return rnd
+        return rnd, [], []
     if rnd.outcome != "ok":
         raise JournalMismatch(
             f"unknown recorded round outcome {rnd.outcome!r}"
         )
-    p = rnd.p = frozenset(rec.get("abstraction") or ())
+    p = rnd.p
     if chosen != p:
         raise JournalMismatch(
             f"abstraction {sorted(p)} was recorded but the replayed store "
             f"chooses {sorted(chosen) if chosen is not None else None}"
         )
-    by_id = {str(q): q for q in group.queries}
-    rnd.proven = [by_id[qid] for qid in rec.get("proven", [])]
-    for entry in rec.get("survivors", []):
-        survivor = _Survivor(
-            by_id[entry["query"]],
-            outcome=entry.get("outcome"),
-            reason=entry.get("reason"),
-            seconds=float(entry.get("seconds", 0.0)),
-            steps=float(entry.get("steps", 0.0)),
-            k=entry.get("k"),
-            max_disjuncts=int(entry.get("max_disjuncts", 0)),
-            degraded=[(a, b) for a, b in entry.get("degraded", [])],
-            trace=entry.get("trace", []),
-            clauses=entry.get("clauses", []),
-        )
+    by_id = {state.id: state for state in group.states}
+    proven = [by_id[qid] for qid in rnd.proven]
+    survivors = []
+    for survivor in rnd.survivors:
+        state = by_id[survivor.query]
         if survivor.outcome == "clauses":
-            survivor.added = [
-                clause_from_jsonable(c) for c in survivor.clauses
-            ]
-            survivor.store = group.store.copy()
-            survivor.store.add_clauses(survivor.added)
-            if not survivor.store.excludes(p):
+            # Testing the added clauses alone is exact: ``p`` is the
+            # group store's MinCostSAT minimum (checked above), so it
+            # satisfies every older clause, and the store with these
+            # clauses excludes ``p`` exactly when one of them does.
+            if not refutes(survivor.added, p):
                 raise JournalMismatch(
-                    f"the recorded clauses of query {entry['query']!r} do "
+                    f"the recorded clauses of query {survivor.query!r} do "
                     "not eliminate the recorded abstraction"
                 )
         elif survivor.outcome not in ("budget", "explosion", "error"):
             raise JournalMismatch(
                 f"unknown recorded survivor outcome {survivor.outcome!r}"
             )
-        rnd.survivors.append(survivor)
-    rnd.exhausted = rec.get("exhausted", [])
-    return rnd
+        survivors.append((state, survivor))
+    return rnd, proven, survivors
 
 
 class _Search:
-    """One grouped TRACER search: the per-query counters, the round
-    loop, and its steps.
+    """One grouped TRACER search: the per-query states, the round loop,
+    and its steps.
 
     A round is either run live — choose and forward
     (:meth:`choose_and_forward`), one backward pass per failing query
@@ -792,7 +784,6 @@ class _Search:
         clause_feed,
     ):
         self.client = client
-        self.queries = queries
         self.config = config
         self.forward_cache = forward_cache
         self.clock = clock
@@ -801,14 +792,12 @@ class _Search:
         self.clause_feed = clause_feed
         self.d_init = client.analysis.initial_state()
         self.records: Dict[Query, QueryRecord] = {}
-        self.iterations: Dict[Query, int] = dict.fromkeys(queries, 0)
-        self.elapsed: Dict[Query, float] = dict.fromkeys(queries, 0.0)
-        self.steps_used: Dict[Query, float] = dict.fromkeys(queries, 0.0)
-        self.forward_runs: Dict[Query, int] = dict.fromkeys(queries, 0)
-        self.cached_runs: Dict[Query, int] = dict.fromkeys(queries, 0)
-        self.max_disjuncts: Dict[Query, int] = dict.fromkeys(queries, 0)
-        #: Read only by certificates, so created on first use.
-        self.evidence: Dict[Query, QueryEvidence] = defaultdict(QueryEvidence)
+        #: One state per query; evidence only when certificates read it.
+        collecting = certificates is not None
+        self.states = [
+            _QueryState(query, QueryEvidence() if collecting else None)
+            for query in queries
+        ]
         #: Survivor traces/clauses are serialised only when someone will
         #: read them (the journal, certificate evidence, or the bus).
         self.recording = (
@@ -839,19 +828,19 @@ class _Search:
         """The round loop: each group of each generation gets one round,
         replayed when a round source holds it and live otherwise; the
         groups that survive a round's caps form the next generation."""
-        query_ids = [str(q) for q in self.queries]
+        query_ids = [state.id for state in self.states]
         if self.warm is not None:
             self.warm.begin(query_ids)
         groups = self.initial_groups()
         if self.journal is not None:
             self.journal.begin(query_ids)
         round_index = 0
-        with obs.span("query_group", queries=len(self.queries)):
+        with obs.span("query_group", queries=len(self.states)):
             while groups:
                 next_groups: List[_Group] = []
                 for group in groups:
                     round_index += 1
-                    ids = [str(q) for q in group.queries]
+                    ids = [state.id for state in group.states]
                     for source in self.sources:
                         rec = source.recorded_round(round_index, ids)
                         if rec is not None:
@@ -868,7 +857,7 @@ class _Search:
     def initial_groups(self) -> List[_Group]:
         """One group of all queries — or, on a clause-tier warm start,
         one per seeded clause signature."""
-        queries = self.queries
+        states = self.states
         theory = self.client.meta.theory
         warm = self.warm
         if warm is None or warm.rounds or not warm.clauses:
@@ -876,10 +865,10 @@ class _Search:
                 obs.event(
                     "warm_start",
                     mode="replay",
-                    queries=len(queries),
+                    queries=len(states),
                     rounds=len(warm.rounds),
                 )
-            return [_Group(ViabilityStore(theory, self.d_init), list(queries))]
+            return [_Group(ViabilityStore(theory, self.d_init), list(states))]
         # Clause tier: partition the initial groups by seeded clause
         # signature — a clause learned for one query must never enter
         # another query's store (it could mask that query's minimum) —
@@ -890,26 +879,26 @@ class _Search:
         if universe is None:
             universe = getattr(space, "keys", None)
         buckets: "OrderedDict[Tuple, _Group]" = OrderedDict()
-        for query in queries:
+        for state in states:
             seed = [
                 clause_from_jsonable(c)
-                for c in warm.clauses.get(str(query), [])
+                for c in warm.clauses.get(state.id, [])
             ]
             store = ViabilityStore(theory, self.d_init)
             seeded, dropped = store.warm_start(seed, universe)
             warm.seeded_clauses += len(seeded)
             warm.dropped_clauses += len(dropped)
-            signature = _clause_signature(seeded)
+            signature = clause_signature(seeded)
             bucket = buckets.get(signature)
             if bucket is None:
-                bucket = buckets[signature] = _Group(store=store, queries=[])
-            bucket.queries.append(query)
+                bucket = buckets[signature] = _Group(store=store, states=[])
+            bucket.states.append(state)
         groups = list(buckets.values())
         if obs.active():
             obs.event(
                 "warm_start",
                 mode="clauses",
-                queries=len(queries),
+                queries=len(states),
                 groups=len(groups),
                 seeded=warm.seeded_clauses,
                 dropped=warm.dropped_clauses,
@@ -927,31 +916,35 @@ class _Search:
     ) -> None:
         """Run one round live and record it: choose and forward, the
         forward outcome, a backward pass per failing query, the caps."""
-        queries = group.queries
+        states = group.states
         with obs.span(
-            "iteration", round=round_index, group_size=len(queries)
+            "iteration", round=round_index, group_size=len(states)
         ) as span:
             rnd, witnesses = self.choose_and_forward(group, span)
             if rnd.outcome in ("budget", "error"):
                 span.set(outcome=rnd.outcome)
-            if self.apply_forward(group, rnd, detail=obs.detail_enabled()):
+            if self.apply_forward(
+                group, rnd, rnd.proven, detail=obs.detail_enabled()
+            ):
                 span.set(
                     cached=rnd.cached,
                     proven=len(rnd.proven),
-                    survivors=len(queries) - len(rnd.proven),
+                    survivors=len(states) - len(rnd.proven),
                 )
                 splits: Dict[Tuple, _Group] = {}
-                for query in queries:
-                    trace = witnesses[query]
+                for state in states:
+                    trace = witnesses[state.query]
                     if trace is None:
                         continue
                     with obs.span(
-                        "backward", phase="backward", query=str(query)
+                        "backward", phase="backward", query=state.id
                     ) as backward_span:
                         survivor = self.backward_pass(
-                            group, rnd.p, query, trace, backward_span
+                            group, rnd.p, state, trace, backward_span
                         )
-                        self.apply_survivor(group, rnd.p, survivor, splits)
+                        self.apply_survivor(
+                            group, rnd.p, state, survivor, splits
+                        )
                     rnd.survivors.append(survivor)
                 rnd.exhausted = self.settle_caps(splits, next_groups)
             feed = self.clause_feed
@@ -980,7 +973,9 @@ class _Search:
         overrun or lenient error as its outcome) and the witnesses."""
         clock = self.clock
         started = clock()
-        budget = self.budget(group.queries)
+        states = group.states
+        queries = [state.query for state in states]
+        budget = self.budget(states)
         rnd = _Round()
         witnesses: Dict[Query, Optional[Trace]] = {}
         cache = self.forward_cache
@@ -1006,12 +1001,12 @@ class _Search:
                     if cache is not None:
                         hits_before = cache.hits
                         witnesses = self.client.counterexamples(
-                            group.queries, rnd.p, cache=cache
+                            queries, rnd.p, cache=cache
                         )
                         rnd.cached = cache.hits > hits_before
                     else:
                         witnesses = self.client.counterexamples(
-                            group.queries, rnd.p
+                            queries, rnd.p
                         )
         except BudgetExceeded as exc:
             rnd.outcome, rnd.reason = "budget", exc.reason
@@ -1019,7 +1014,7 @@ class _Search:
                 "budget_exceeded",
                 phase="forward",
                 reason=exc.reason,
-                queries=len(group.queries),
+                queries=len(states),
             )
         except Exception as exc:
             # Unexpected client failure during selection or the forward
@@ -1032,12 +1027,12 @@ class _Search:
                 "degraded",
                 reason="forward_error",
                 error=repr(exc),
-                queries=len(group.queries),
+                queries=len(states),
             )
         rnd.seconds = clock() - started
         rnd.steps = budget.steps if budget is not None else 0.0
         if rnd.outcome == "ok":
-            rnd.proven = [q for q in group.queries if witnesses[q] is None]
+            rnd.proven = [s for s in states if witnesses[s.query] is None]
         return rnd, witnesses
 
     def prefetch(self, p: FrozenSet[str]) -> float:
@@ -1066,20 +1061,21 @@ class _Search:
         self,
         group: _Group,
         p: FrozenSet[str],
-        query: Query,
+        state: _QueryState,
         trace: Trace,
         span,
-    ) -> _Survivor:
+    ) -> Survivor:
         """The backward meta-analysis of one failing query under its own
         budget, degrading the beam on a formula explosion: the clauses
         it learns (checked to eliminate ``p``) or, contained in lenient
         mode, a budget overrun, explosion or error."""
         client, config = self.client, self.config
-        survivor = _Survivor(
-            query, trace=trace_to_jsonable(trace) if self.recording else []
+        query = state.query
+        survivor = Survivor(
+            state.id, trace_to_jsonable(trace) if self.recording else None
         )
         started = self.clock()
-        budget = self.budget([query])
+        budget = self.budget([state])
 
         def attempt(width):
             robust_faults.inject("backward")
@@ -1099,7 +1095,7 @@ class _Search:
             obs.event(
                 "degraded",
                 reason="formula_explosion",
-                query=str(query),
+                query=state.id,
                 from_k=failed_k,
                 to_k=next_k,
             )
@@ -1124,7 +1120,7 @@ class _Search:
                 "budget_exceeded",
                 phase="backward",
                 reason=exc.reason,
-                query=str(query),
+                query=state.id,
             )
         except FormulaExplosion:
             # The meta-analysis formula outgrew the budget even at the
@@ -1143,12 +1139,13 @@ class _Search:
             obs.event(
                 "degraded",
                 reason="backward_error",
-                query=str(query),
+                query=state.id,
                 error=repr(exc),
             )
         else:
             survivor.outcome, survivor.k = "clauses", used_k
-            survivor.added, survivor.store = added, probe
+            survivor.added = added
+            survivor.signature = clause_signature(added)
             if self.recording:
                 survivor.clauses = [clause_to_jsonable(c) for c in added]
             if used_k != config.k:
@@ -1166,8 +1163,8 @@ class _Search:
                 states = forward_states(client.analysis, trace, p, self.d_init)
                 obs.event(
                     "iteration_detail",
-                    query=str(query),
-                    index=self.iterations[query],
+                    query=state.id,
+                    index=state.iterations,
                     proven=False,
                     abstraction=sorted(p),
                     commands=[pretty_command(c) for c in trace],
@@ -1187,7 +1184,7 @@ class _Search:
         group: _Group,
         round_index: int,
         ids: List[str],
-        rec: dict,
+        rec: RecordedRound,
         next_groups: List[_Group],
     ) -> None:
         """Re-enact a recorded round — from a resumed journal, a warm
@@ -1207,7 +1204,9 @@ class _Search:
             "replay_round", phase="replay", round=round_index, **attrs
         ):
             try:
-                rnd = _recorded_round(rec, group, round_index, ids)
+                rnd, proven, survivors = _recorded_round(
+                    rec, group, round_index, ids
+                )
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 # JournalMismatch is a ValueError, so failed checks and
                 # fields that do not decode both land here.
@@ -1221,10 +1220,10 @@ class _Search:
                     queries=len(ids),
                     outcome=rnd.outcome,
                 )
-            if self.apply_forward(group, rnd):
+            if self.apply_forward(group, rnd, proven):
                 splits: Dict[Tuple, _Group] = {}
-                for survivor in rnd.survivors:
-                    self.apply_survivor(group, rnd.p, survivor, splits)
+                for state, survivor in survivors:
+                    self.apply_survivor(group, rnd.p, state, survivor, splits)
                 exhausted = self.settle_caps(splits, next_groups)
                 if exhausted != rnd.exhausted:
                     raise mismatch(
@@ -1235,7 +1234,7 @@ class _Search:
         if self.journal is not None and source is not self.journal:
             # Write the replayed round through, so the journal is
             # bit-identical to the uninterrupted search's.
-            self.journal.record_round(rec)
+            self.journal.record_round(rec.raw)
         if bus and obs.active():
             obs.event(
                 "clause_imported",
@@ -1247,71 +1246,77 @@ class _Search:
     # -- the outcome rules, shared by live and replayed rounds ---------------
 
     def apply_forward(
-        self, group: _Group, rnd: _Round, detail: bool = False
+        self,
+        group: _Group,
+        rnd,
+        proven: Sequence[_QueryState],
+        detail: bool = False,
     ) -> bool:
         """Charge a round's shared work equally to its members and apply
         its forward outcome: a budget overrun or error exhausts every
         member, an empty viable set makes them impossible, and otherwise
         each member counts an iteration (and a forward run, cached or
-        not) and the proven ones resolve.  Returns whether backward
-        passes follow.  ``detail`` emits the proven ones'
-        ``iteration_detail`` events (live rounds in detail mode)."""
-        queries = group.queries
-        _charge(queries, rnd.seconds, self.elapsed)
-        _charge(queries, rnd.steps, self.steps_used)
+        not) and the ``proven`` ones resolve.  Returns whether backward
+        passes follow.  ``rnd`` is a live :class:`_Round` or a decoded
+        :class:`~repro.robust.journal.RecordedRound`; ``detail`` emits
+        the proven ones' ``iteration_detail`` events (live rounds in
+        detail mode)."""
+        states = group.states
+        _charge(states, rnd.seconds, rnd.steps)
         if rnd.outcome in ("budget", "error"):
             key = "reason" if rnd.outcome == "budget" else "error"
-            for query in queries:
-                self.evidence[query].provenance.append(
+            for state in states:
+                state.note(
                     {"kind": rnd.outcome, "phase": "forward", key: rnd.reason}
                 )
-                self.resolve(query, QueryStatus.EXHAUSTED, store=group.store)
+                self.resolve(state, QueryStatus.EXHAUSTED, store=group.store)
             return False
         if rnd.outcome == "impossible":
-            for query in queries:
-                self.resolve(query, QueryStatus.IMPOSSIBLE, store=group.store)
+            for state in states:
+                self.resolve(state, QueryStatus.IMPOSSIBLE, store=group.store)
             return False
-        for query in queries:
-            self.iterations[query] += 1
-            self.forward_runs[query] += 1
-            if rnd.cached:
-                self.cached_runs[query] += 1
-        for query in rnd.proven:
+        cached = rnd.cached
+        for state in states:
+            state.iterations += 1
+            state.forward_runs += 1
+            if cached:
+                state.cached_runs += 1
+        for state in proven:
             if detail:
                 obs.event(
                     "iteration_detail",
-                    query=str(query),
-                    index=self.iterations[query],
+                    query=state.id,
+                    index=state.iterations,
                     proven=True,
                     abstraction=sorted(rnd.p),
                 )
-            self.resolve(query, QueryStatus.PROVEN, rnd.p, store=group.store)
+            self.resolve(state, QueryStatus.PROVEN, rnd.p, store=group.store)
         return True
 
     def apply_survivor(
         self,
         group: _Group,
         p: FrozenSet[str],
-        survivor: _Survivor,
+        state: _QueryState,
+        survivor: Survivor,
         splits: Dict[Tuple, _Group],
     ) -> None:
         """Charge a survivor its own backward pass and apply its outcome:
         learned clauses put it in the next-round group of its clause
-        signature (the Section 6 split), and a budget overrun, explosion
-        or error resolves it exhausted."""
-        query = survivor.query
-        self.elapsed[query] += survivor.seconds
-        self.steps_used[query] += survivor.steps
-        self.max_disjuncts[query] = max(
-            self.max_disjuncts[query], survivor.max_disjuncts
-        )
-        evidence = self.evidence[query]
-        for from_k, to_k in survivor.degraded:
-            evidence.provenance.append(
-                {"kind": "degraded", "from_k": from_k, "to_k": to_k}
-            )
+        signature (the Section 6 split; the group's store plus the
+        clauses of the first member to learn them), and a budget
+        overrun, explosion or error resolves it exhausted."""
+        state.elapsed += survivor.seconds
+        state.steps += survivor.steps
+        state.max_disjuncts = max(state.max_disjuncts, survivor.max_disjuncts)
+        evidence = state.evidence
+        if evidence is not None:
+            for from_k, to_k in survivor.degraded:
+                evidence.provenance.append(
+                    {"kind": "degraded", "from_k": from_k, "to_k": to_k}
+                )
         if survivor.outcome == "clauses":
-            if self.recording:
+            if evidence is not None:
                 evidence.witnesses.append(
                     {
                         "abstraction": sorted(p),
@@ -1320,16 +1325,15 @@ class _Search:
                         "clauses": survivor.clauses,
                     }
                 )
-            signature = _clause_signature(survivor.added)
-            bucket = splits.get(signature)
+            bucket = splits.get(survivor.signature)
             if bucket is None:
-                bucket = splits[signature] = _Group(
-                    store=survivor.store, queries=[]
-                )
-            bucket.queries.append(query)
+                store = group.store.copy()
+                store.add_clauses(survivor.added)
+                bucket = splits[survivor.signature] = _Group(store, [])
+            bucket.states.append(state)
             return
         if survivor.outcome == "budget":
-            evidence.provenance.append(
+            state.note(
                 {
                     "kind": "budget",
                     "phase": "backward",
@@ -1337,18 +1341,16 @@ class _Search:
                 }
             )
         elif survivor.outcome == "explosion":
-            evidence.provenance.append(
-                {"kind": "explosion", "phase": "backward"}
-            )
+            state.note({"kind": "explosion", "phase": "backward"})
         else:
-            evidence.provenance.append(
+            state.note(
                 {
                     "kind": "error",
                     "phase": "backward",
                     "error": survivor.reason,
                 }
             )
-        self.resolve(query, QueryStatus.EXHAUSTED, store=group.store)
+        self.resolve(state, QueryStatus.EXHAUSTED, store=group.store)
 
     def settle_caps(
         self, splits: Dict[Tuple, _Group], sink: List[_Group]
@@ -1358,41 +1360,36 @@ class _Search:
         of the queries exhausted."""
         exhausted_ids: List[str] = []
         for bucket in splits.values():
-            live: List[Query] = []
-            for query in bucket.queries:
-                reason = self.cap_reason(query)
+            live: List[_QueryState] = []
+            for state in bucket.states:
+                reason = self.cap_reason(state)
                 if reason is not None:
-                    self.evidence[query].provenance.append(
-                        {"kind": "cap", "reason": reason}
-                    )
+                    state.note({"kind": "cap", "reason": reason})
                     self.resolve(
-                        query, QueryStatus.EXHAUSTED, store=bucket.store
+                        state, QueryStatus.EXHAUSTED, store=bucket.store
                     )
-                    exhausted_ids.append(str(query))
+                    exhausted_ids.append(state.id)
                 else:
-                    live.append(query)
+                    live.append(state)
             if live:
-                bucket.queries = live
+                bucket.states = live
                 sink.append(bucket)
         return exhausted_ids
 
-    def cap_reason(self, query: Query) -> Optional[str]:
+    def cap_reason(self, state: _QueryState) -> Optional[str]:
         config = self.config
-        if self.iterations[query] >= config.max_iterations:
+        if state.iterations >= config.max_iterations:
             return "iterations"
         if (
             config.max_seconds is not None
-            and self.elapsed[query] >= config.max_seconds
+            and state.elapsed >= config.max_seconds
         ):
             return "seconds"
-        if (
-            config.max_steps is not None
-            and self.steps_used[query] >= config.max_steps
-        ):
+        if config.max_steps is not None and state.steps >= config.max_steps:
             return "steps"
         return None
 
-    def budget(self, members: Sequence[Query]) -> Optional[Budget]:
+    def budget(self, members: Sequence[_QueryState]) -> Optional[Budget]:
         """A cooperative budget for work shared by ``members`` (or for
         one query's own backward pass).  Shared work is charged in
         equal shares, so the member with the least headroom going over
@@ -1405,12 +1402,12 @@ class _Search:
         remaining_time = None
         if config.max_seconds is not None:
             remaining_time = config.max_seconds - min(
-                self.elapsed[q] for q in members
+                state.elapsed for state in members
             )
         remaining_steps = None
         if config.max_steps is not None:
             remaining_steps = config.max_steps - min(
-                self.steps_used[q] for q in members
+                state.steps for state in members
             )
         return Budget(
             max_seconds=remaining_time,
@@ -1420,25 +1417,25 @@ class _Search:
         )
 
     def resolve(
-        self, query: Query, status: QueryStatus, p=None, store=None
+        self, state: _QueryState, status: QueryStatus, p=None, store=None
     ) -> None:
-        """Record ``query``'s verdict from its counters, and emit its
+        """Record the query's verdict from its counters, and emit its
         certificate when certificates are collected."""
         client = self.client
         record = QueryRecord(
-            query_id=str(query),
+            query_id=state.id,
             status=status,
-            iterations=self.iterations[query],
+            iterations=state.iterations,
             abstraction=p,
             abstraction_cost=(
                 client.analysis.param_space.cost(p) if p is not None else None
             ),
-            time_seconds=self.elapsed[query],
-            max_disjuncts=self.max_disjuncts[query],
-            forward_runs=self.forward_runs[query],
-            forward_cache_hits=self.cached_runs[query],
+            time_seconds=state.elapsed,
+            max_disjuncts=state.max_disjuncts,
+            forward_runs=state.forward_runs,
+            forward_cache_hits=state.cached_runs,
         )
-        self.records[query] = record
+        self.records[state.query] = record
         if obs.active():
             obs.event(
                 "query_resolved",
@@ -1454,6 +1451,7 @@ class _Search:
             )
         if self.certificates is None:
             return
+        query = state.query
         digest = None
         if status is QueryStatus.PROVEN and p is not None:
             if self.warm is not None:
@@ -1461,7 +1459,7 @@ class _Search:
                 # (checked against the proving abstraction) so the warm
                 # run performs zero forward fixpoints even with
                 # certification on.
-                digest = self.warm.stored_digest(str(query), p)
+                digest = self.warm.stored_digest(state.id, p)
             if digest is None:
                 if self.forward_cache is not None:
                     result = self.forward_cache.fetch(client, p)
@@ -1474,8 +1472,8 @@ class _Search:
             status,
             p,
             store.clauses if store is not None else (),
-            self.evidence[query],
-            self.iterations[query],
+            state.evidence,
+            state.iterations,
             self.config,
             digest,
         )
@@ -1483,26 +1481,25 @@ class _Search:
         if obs.active():
             obs.event(
                 "certificate_emitted",
-                query=str(query),
+                query=state.id,
                 verdict=status.value,
                 clauses=len(certificate["clauses"]),
                 witnesses=len(certificate["witnesses"]),
             )
 
 
-def _charge(queries: Sequence[Query], amount: float, elapsed: Dict) -> None:
-    """Attribute ``amount`` seconds of shared work equally to ``queries``."""
-    if not queries or not amount:
+def _charge(
+    states: Sequence[_QueryState], seconds: float, steps: float
+) -> None:
+    """Attribute a round's shared ``seconds`` and ``steps`` equally to
+    its members' ``states``."""
+    if not states:
         return
-    share = amount / len(queries)
-    for query in queries:
-        elapsed[query] += share
-
-
-def _clause_signature(clauses) -> Tuple:
-    return tuple(
-        sorted(
-            tuple(sorted(((str(v), s) for v, s in clause)))
-            for clause in clauses
-        )
-    )
+    if seconds:
+        share = seconds / len(states)
+        for state in states:
+            state.elapsed += share
+    if steps:
+        share = steps / len(states)
+        for state in states:
+            state.steps += share

@@ -37,6 +37,15 @@ _MINIMA = LruCache(1024)
 _UNSOLVED = object()
 
 
+def refutes(clauses: Iterable[Clause], p: FrozenSet[object]) -> bool:
+    """Whether abstraction ``p`` falsifies one of ``clauses`` (an empty
+    clause refutes every abstraction)."""
+    for clause in clauses:
+        if not any((var in p) == sign for var, sign in clause):
+            return True
+    return False
+
+
 class ParamTheory(Theory):
     """A theory whose parameter primitives map onto boolean variables."""
 
@@ -167,9 +176,4 @@ class ViabilityStore:
     def excludes(self, p: FrozenSet[object]) -> bool:
         """Whether abstraction ``p`` is already eliminated — used to
         assert TRACER's progress guarantee after every iteration."""
-        if self._impossible:
-            return True
-        for clause in self._clauses:
-            if not any((var in p) == sign for var, sign in clause):
-                return True
-        return False
+        return self._impossible or refutes(self._clauses, p)

@@ -24,13 +24,13 @@ Crucially, a drained round is **never trusted**: it is replayed
 through the driver's one replay step (``_Search.replay`` in
 :mod:`repro.core.tracer`, shared with journal resume and the
 warm-start replay tier), which checks the record's group ids and
-round index, recomputes the minimum-cost abstraction and compares it
-with the recorded one, probes that each survivor's clauses refute it
-(``ViabilityStore.add_clauses`` + ``excludes`` on a copy of this
-process's own store) before any of them can prune the search, and
-compares the end-of-round exhausted list.  A record that fails those
-checks, or does not decode, raises :class:`ClauseFeedMismatch` and the
-importer falls back to solving the group cold.
+round index, recomputes the minimum-cost abstraction on this
+process's own store and compares it with the recorded one, checks
+that each survivor's clauses refute it before any of them can prune
+the search, and compares the end-of-round exhausted list.  A record
+that fails those checks, or does not decode, raises
+:class:`ClauseFeedMismatch` and the importer falls back to solving the
+group cold.
 
 Only ``"ok"`` rounds travel: budget and error outcomes are
 wall-clock-dependent (re-running them may legitimately differ), and
@@ -56,6 +56,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.robust.journal import RecordedRound
 from repro.robust.leases import (
     LeaseCorruption,
     _LeaseLock,
@@ -276,13 +277,14 @@ class ClauseFeed:
 
     def recorded_round(
         self, round_index: int, queries: Sequence[str]
-    ) -> Optional[dict]:
+    ) -> Optional[RecordedRound]:
         if not self.replay:
             return None
         record = self.bus.fetch(self.scope, round_index, queries)
-        if record is not None:
-            self.imported += 1
-        return record
+        if record is None:
+            return None
+        self.imported += 1
+        return RecordedRound(record)
 
     def publish(self, record: dict) -> None:
         if record.get("outcome") != "ok":

@@ -49,6 +49,14 @@ Clauses serialise as sorted ``[variable, sign]`` literal lists and
 traces as tagged command dicts (:func:`trace_to_jsonable`); both
 round-trip exactly for every bundled client, whose parameter variables
 are strings.
+
+Records stay JSON wherever they are kept or sent: journals, the clause
+bus and the knowledge store.  A round source hands each one to the
+replay step as a :class:`RecordedRound`, which the replay step decodes
+(:meth:`RecordedRound.decode`, the one decoder) when it reads it.  A
+knowledge-store entry keeps its rounds' :class:`RecordedRound` objects
+while it is indexed, so its rounds decode once per process however
+often the entry is replayed.
 """
 
 from __future__ import annotations
@@ -75,10 +83,13 @@ from repro.robust.checkpoint import JsonlAppender, scan_jsonl
 
 __all__ = [
     "JournalMismatch",
+    "RecordedRound",
     "RecordedRounds",
     "RoundCollector",
     "SearchJournal",
+    "Survivor",
     "clause_from_jsonable",
+    "clause_signature",
     "clause_to_jsonable",
     "command_from_dict",
     "command_to_dict",
@@ -149,6 +160,153 @@ def clause_from_jsonable(items: List[List]) -> frozenset:
     return frozenset((var, bool(sign)) for var, sign in items)
 
 
+def clause_signature(clauses) -> Tuple:
+    """A clause set's key in the Section 6 group split: the queries of
+    a group that learned equal signatures in a round stay together."""
+    return tuple(
+        sorted(
+            tuple(sorted(((str(v), s) for v, s in clause)))
+            for clause in clauses
+        )
+    )
+
+
+# -- rounds as the search reads them ------------------------------------------
+
+
+class Survivor:
+    """One failing query's backward pass in a round, as the search's
+    outcome rules read it: built by a live backward pass, or decoded
+    from a round record's survivor entry (:meth:`decode`).  ``query`` is
+    the query id; for the ``"clauses"`` outcome ``added`` holds the
+    learned clauses as clause objects and ``signature`` their split
+    signature.  ``trace`` and ``clauses`` are the entry's JSON forms,
+    which the journal, the bus and certificate evidence read."""
+
+    __slots__ = (
+        "query",
+        "outcome",
+        "reason",
+        "seconds",
+        "steps",
+        "k",
+        "max_disjuncts",
+        "degraded",
+        "trace",
+        "clauses",
+        "added",
+        "signature",
+    )
+
+    def __init__(self, query: str, trace: Optional[list] = None):
+        self.query = query
+        self.outcome: Optional[str] = None
+        self.reason: Optional[str] = None
+        self.seconds = 0.0
+        self.steps = 0.0
+        self.k: Optional[int] = None
+        self.max_disjuncts = 0
+        self.degraded: list = []
+        self.trace = trace if trace is not None else []
+        self.clauses: list = []
+        self.added: Tuple[frozenset, ...] = ()
+        self.signature: Tuple = ()
+
+    @classmethod
+    def decode(cls, entry: dict) -> "Survivor":
+        """Decode a round record's survivor entry (see
+        :meth:`RecordedRound.decode` for what it raises)."""
+        survivor = cls(entry["query"], entry.get("trace", []))
+        survivor.outcome = entry.get("outcome")
+        survivor.reason = entry.get("reason")
+        survivor.seconds = float(entry.get("seconds", 0.0))
+        survivor.steps = float(entry.get("steps", 0.0))
+        survivor.k = entry.get("k")
+        survivor.max_disjuncts = int(entry.get("max_disjuncts", 0))
+        survivor.degraded = [(a, b) for a, b in entry.get("degraded", [])]
+        survivor.clauses = entry.get("clauses", [])
+        if survivor.outcome == "clauses":
+            survivor.added = tuple(
+                clause_from_jsonable(c) for c in survivor.clauses
+            )
+            survivor.signature = clause_signature(survivor.added)
+        return survivor
+
+    def entry(self) -> dict:
+        return {
+            "query": self.query,
+            "outcome": self.outcome,
+            "reason": self.reason,
+            "seconds": self.seconds,
+            "steps": self.steps,
+            "k": self.k,
+            "max_disjuncts": self.max_disjuncts,
+            "degraded": self.degraded,
+            "trace": self.trace,
+            "clauses": self.clauses,
+        }
+
+
+class RecordedRound:
+    """One round record as a round source hands it to the replay step:
+    the JSON record (``raw``, what a replay writes through to a live
+    journal) and, once :meth:`decode` has run, its typed fields.
+
+    Only an ``"ok"`` round's abstraction (``p``), proven query ids,
+    survivors and exhausted ids are decoded; the other outcomes carry
+    none.  The fields describe the record, never a search, so a decoded
+    round can be replayed by any number of searches."""
+
+    __slots__ = (
+        "raw",
+        "decoded",
+        "round",
+        "queries",
+        "outcome",
+        "reason",
+        "cached",
+        "seconds",
+        "steps",
+        "p",
+        "proven",
+        "survivors",
+        "exhausted",
+    )
+
+    def __init__(self, raw: dict):
+        self.raw = raw
+        self.decoded = False
+
+    def decode(self) -> "RecordedRound":
+        """Decode the record, on the first call only; returns ``self``.
+        Raises ``KeyError``, ``TypeError``, ``ValueError`` or
+        ``AttributeError`` on a field that does not decode (and stays
+        undecoded then)."""
+        if self.decoded:
+            return self
+        raw = self.raw
+        self.round = raw.get("round")
+        self.queries = raw.get("queries")
+        self.outcome = raw.get("outcome")
+        self.reason = raw.get("reason")
+        self.cached = bool(raw.get("cached"))
+        self.seconds = float(raw.get("seconds", 0.0))
+        self.steps = float(raw.get("steps", 0.0))
+        self.p: Optional[frozenset] = None
+        self.proven: List[str] = []
+        self.survivors: List[Survivor] = []
+        self.exhausted: list = []
+        if self.outcome == "ok":
+            self.p = frozenset(raw.get("abstraction") or ())
+            self.proven = list(raw.get("proven", []))
+            self.survivors = [
+                Survivor.decode(entry) for entry in raw.get("survivors", [])
+            ]
+            self.exhausted = raw.get("exhausted", [])
+        self.decoded = True
+        return self
+
+
 # -- the journal --------------------------------------------------------------
 
 
@@ -182,10 +340,18 @@ class RecordedRounds:
     recorded round for this round index and group"; a cursor answers
     with its next record, and ``None`` once all are replayed (the
     search goes live).  Whether the record really describes that round
-    is the driver's replay step to check."""
+    is the replay step's to check (``_Search.replay`` in
+    :mod:`repro.core.tracer`).
 
-    def __init__(self, rounds: Sequence[dict] = ()):
-        self.rounds = list(rounds)
+    ``rounds`` holds JSON records or :class:`RecordedRound` objects; a
+    knowledge-store entry passes the ones it keeps, so what one replay
+    decoded the next one reads."""
+
+    def __init__(self, rounds: Sequence = ()):
+        self.rounds = [
+            rec if isinstance(rec, RecordedRound) else RecordedRound(rec)
+            for rec in rounds
+        ]
         self.replayed_rounds = 0
 
     @property
@@ -195,7 +361,7 @@ class RecordedRounds:
 
     def recorded_round(
         self, round_index: int, query_ids: Sequence[str]
-    ) -> Optional[dict]:
+    ) -> Optional[RecordedRound]:
         index = self.replayed_rounds
         if index >= len(self.rounds):
             return None

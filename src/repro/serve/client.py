@@ -1,10 +1,13 @@
 """Blocking, retrying client for the ``repro serve`` daemon.
 
-One newline-delimited JSON request/response per call, over a fresh
-``AF_UNIX`` connection (the daemon queues requests FIFO server-side,
-so per-call connections keep the client trivially correct).  Used by
-``repro submit`` and by the serve smoke tests; scripting against the
-daemon from Python looks like::
+One newline-delimited JSON request/response per call, over one
+``AF_UNIX`` connection that the client opens on its first call and
+keeps for the next ones (the daemon answers the requests of a
+connection in order).  :meth:`ServeClient.close` — or leaving the
+``with`` block, or the client being garbage-collected — closes it.  A
+client is not thread-safe: use one per thread.  Used by ``repro
+submit`` and by the serve smoke tests; scripting against the daemon
+from Python looks like::
 
     from repro.serve.client import ServeClient
 
@@ -14,6 +17,16 @@ daemon from Python looks like::
                           query="check1", allowed=["closed"])
         for entry in reply["results"]:
             print(entry["query"], entry["verdict"])
+
+**The kept connection.**  The daemon may close an idle connection (it
+drains them on shutdown, and drops one after an ``oversized`` line).
+When a kept connection fails before any reply byte arrives — the send
+hits a closed socket, or the read meets end-of-file or a reset — the
+client opens a new connection and sends the request once more.  That
+resend is not a retry: the daemon may never have read the request, and
+the reused ``request_id`` makes a duplicate harmless.  Any other
+failure (a timeout, a failure after part of a reply, a reply that does
+not decode) drops the connection and goes through the retries below.
 
 **Resilience.**  :meth:`request` retries — with capped exponential
 backoff and jitter — on transport failures (connection refused or
@@ -37,6 +50,7 @@ import random
 import socket
 import time
 import uuid
+import weakref
 from typing import Optional
 
 from repro.robust import faults
@@ -68,7 +82,14 @@ class ServeError(RuntimeError):
         self.response = response
 
 
+class _NoReply(Exception):
+    """The connection ended before any byte of the reply arrived."""
+
+
 class ServeClient:
+    """A client of one daemon socket; see the module doc.  One per
+    thread: calls on one client share its connection."""
+
     def __init__(
         self,
         socket_path: str,
@@ -88,41 +109,96 @@ class ServeClient:
         self.retries_made = 0
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
+        self._sock: Optional[socket.socket] = None
+        self._closer: Optional[weakref.finalize] = None
 
     # -- the wire ---------------------------------------------------------
 
+    def _connect(self) -> socket.socket:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self.socket_path)
+        except OSError:
+            sock.close()
+            raise
+        self._sock = sock
+        # Closes the socket of a client dropped without close().
+        self._closer = weakref.finalize(self, sock.close)
+        return sock
+
+    def close(self) -> None:
+        """Close the kept connection, if any; the next call opens a
+        new one."""
+        if self._closer is not None:
+            self._closer()
+        self._sock = self._closer = None
+
+    def _exchange(self, data: bytes) -> str:
+        """Send one request line on the kept connection (opened first
+        if there is none) and read one reply line.  Raises
+        :class:`_NoReply` when the connection ends before any reply
+        byte, ``OSError`` on other socket trouble."""
+        sock = self._sock if self._sock is not None else self._connect()
+        reply = b""
+        try:
+            sock.sendall(data)
+            while not reply.endswith(b"\n"):
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        except ConnectionError as error:
+            if reply:
+                raise
+            raise _NoReply from error
+        if not reply:
+            raise _NoReply
+        return reply.decode("utf-8", errors="replace")
+
     def _once(self, payload: dict) -> dict:
-        """One attempt: connect, send, read one line, decode.  Raises
-        :class:`ServeError` with a retryable ``transport`` /
-        ``bad_reply`` code on wire trouble; envelope handling is the
-        caller's."""
+        """One attempt: send on the kept connection, read one line,
+        decode.  Raises :class:`ServeError` with a retryable
+        ``transport`` / ``bad_reply`` code on wire trouble, having
+        dropped the connection; envelope handling is the caller's."""
+        data = (json.dumps(payload) + "\n").encode("utf-8")
         try:
             faults.inject("serve.transport")
-            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-                sock.settimeout(self.timeout)
-                sock.connect(self.socket_path)
-                sock.sendall(
-                    (json.dumps(payload) + "\n").encode("utf-8")
-                )
-                with sock.makefile("r", encoding="utf-8") as stream:
-                    line = stream.readline()
+            kept = self._sock is not None
+            try:
+                line = self._exchange(data)
+            except _NoReply:
+                if not kept:
+                    raise
+                # The daemon closed the kept connection while it was
+                # idle: resend once on a new one (see the module doc).
+                self.close()
+                line = self._exchange(data)
+        except _NoReply:
+            self.close()
+            raise ServeError(
+                "daemon closed the connection without a reply",
+                code="transport",
+                retryable=True,
+            ) from None
         except OSError as error:
+            self.close()
             raise ServeError(
                 f"cannot reach daemon at {self.socket_path}: {error}",
                 code="transport",
                 retryable=True,
             ) from error
-        if not line:
-            raise ServeError(
-                "daemon closed the connection without a reply",
-                code="transport",
-                retryable=True,
-            )
+        except BaseException:
+            # Interrupted mid-exchange: an unread reply may follow.
+            self.close()
+            raise
         try:
             return json.loads(line)
         except json.JSONDecodeError as error:
             # A truncated or garbled reply line: show what actually
             # arrived (prefix-bounded) instead of a bare decode error.
+            # What follows it on the connection cannot be trusted.
+            self.close()
             prefix = line[:120] + ("..." if len(line) > 120 else "")
             raise ServeError(
                 f"undecodable reply from daemon "
@@ -244,4 +320,5 @@ class ServeClient:
         return self
 
     def __exit__(self, *exc) -> bool:
+        self.close()
         return False

@@ -366,7 +366,11 @@ class AnalysisSession:
                     )
             entry = store.lookup(digest, ckey, query_ids)
             if entry is not None:
-                warm = _replay_warm(entry)
+                warm = _replay_warm(
+                    entry,
+                    store.recorded_rounds(entry),
+                    certified=certificates is not None,
+                )
                 mode = "replay"
             else:
                 seed = store.lookup_seed(source, info.get("kind"))
@@ -581,9 +585,13 @@ class AnalysisSession:
         )
 
 
-def _replay_warm(entry: dict) -> WarmStart:
+def _replay_warm(entry: dict, rounds, certified: bool) -> WarmStart:
+    """The replay-tier warm start of a store ``entry`` over its kept
+    ``rounds``, with the recorded annotation digests — which only
+    certificates read — when the replay is ``certified``."""
     digests: Dict[str, Tuple[Tuple[str, ...], str]] = {}
-    for qid, result in (entry.get("results") or {}).items():
+    results = (entry.get("results") or {}) if certified else {}
+    for qid, result in results.items():
         if (
             result.get("verdict") == QueryStatus.PROVEN.value
             and result.get("abstraction") is not None
@@ -594,7 +602,7 @@ def _replay_warm(entry: dict) -> WarmStart:
                 result["annotation_digest"],
             )
     return WarmStart(
-        rounds=entry.get("rounds") or [],
+        rounds=rounds,
         digests=digests,
         queries=list(entry.get("queries") or []),
     )

@@ -38,6 +38,12 @@ last-wins index), so re-recording after an edit needs no rewriting.
 The store registers with the metrics registry as ``knowledge_store``;
 its hit/miss counters surface like every other cache's.
 
+An indexed entry keeps its rounds as the replay step reads them
+(:meth:`KnowledgeStore.recorded_rounds`): each round decodes on the
+entry's first replay and is read decoded from then on, until the entry
+is forgotten, superseded or compacted away.  The file and every record
+in it stay JSON.
+
 **Shared mode** (``KnowledgeStore(path, shared=True)``) is what the
 daemon's supervised worker pool uses: several processes append to one
 file.  Every append takes an exclusive ``flock`` on ``path + ".lock"``,
@@ -72,6 +78,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs
 from repro.robust import faults
 from repro.robust.checkpoint import JsonlAppender, scan_jsonl
+from repro.robust.journal import RecordedRound
 
 __all__ = [
     "KnowledgeStore",
@@ -216,6 +223,9 @@ class KnowledgeStore:
         self._exact: Dict[Tuple, dict] = {}
         #: Seed index: (source, client kind) -> latest entry.
         self._by_source: Dict[Tuple[str, str], dict] = {}
+        #: ``id(entry) -> (entry, its recorded rounds)`` for the indexed
+        #: entries a replay has read; see :meth:`recorded_rounds`.
+        self._replays: Dict[int, Tuple[dict, List[RecordedRound]]] = {}
         self.entries_loaded = 0
         #: Entry records physically in the file, superseded ones
         #: included — the compaction trigger's numerator comes from
@@ -267,6 +277,7 @@ class KnowledgeStore:
     def _reset_index(self) -> None:
         self._exact.clear()
         self._by_source.clear()
+        self._replays.clear()
         self._all_exact_keys: set = set()
         self.file_entries = 0
 
@@ -352,11 +363,10 @@ class KnowledgeStore:
     # -- lookups -----------------------------------------------------------
 
     def _index(self, entry: dict) -> None:
-        key = self._exact_key(
-            entry.get("digest"),
-            tuple(entry.get("config") or ()),
-            entry.get("queries") or (),
-        )
+        key = self._entry_key(entry)
+        superseded = self._exact.get(key)
+        if superseded is not None:
+            self._replays.pop(id(superseded), None)
         self._exact[key] = entry
         self._all_exact_keys.add(key)
         source = entry.get("source")
@@ -367,6 +377,14 @@ class KnowledgeStore:
     @staticmethod
     def _exact_key(digest, config, query_ids) -> Tuple:
         return (digest, tuple(config), tuple(query_ids))
+
+    @classmethod
+    def _entry_key(cls, entry: dict) -> Tuple:
+        return cls._exact_key(
+            entry.get("digest"),
+            tuple(entry.get("config") or ()),
+            entry.get("queries") or (),
+        )
 
     def lookup(
         self, digest: str, config: Tuple, query_ids: Sequence[str]
@@ -390,6 +408,24 @@ class KnowledgeStore:
             return entry
         self.misses += 1
         return None
+
+    def recorded_rounds(self, entry: dict) -> List[RecordedRound]:
+        """``entry``'s rounds as the replay step reads them, one
+        :class:`~repro.robust.journal.RecordedRound` per round record.
+
+        An indexed entry keeps the list, so a round the replay step
+        decoded once is read decoded by every later replay; forgetting,
+        superseding or compacting the entry drops it.  Nothing is
+        decoded here: a round that does not decode fails in the replay
+        step, which makes the entry stale."""
+        # The map holds the entry itself, so its id is not reused.
+        kept = self._replays.get(id(entry))
+        if kept is not None:
+            return kept[1]
+        rounds = [RecordedRound(rec) for rec in entry.get("rounds") or ()]
+        if self._exact.get(self._entry_key(entry)) is entry:
+            self._replays[id(entry)] = (entry, rounds)
+        return rounds
 
     def lookup_seed(
         self, source: Optional[str], client_kind: Optional[str]
@@ -483,11 +519,8 @@ class KnowledgeStore:
         """Drop a stale entry from the in-memory index (it stays in the
         file, shadowed by whatever is recorded next), so a failed warm
         start is not retried forever."""
-        key = self._exact_key(
-            entry.get("digest"),
-            tuple(entry.get("config") or ()),
-            entry.get("queries") or (),
-        )
+        self._replays.pop(id(entry), None)
+        key = self._entry_key(entry)
         if self._exact.get(key) is entry:
             del self._exact[key]
         source = entry.get("source")
@@ -525,11 +558,7 @@ class KnowledgeStore:
             last_exact: Dict[Tuple, int] = {}
             last_seed: Dict[Tuple[str, str], int] = {}
             for position, entry in enumerate(entries):
-                last_exact[self._exact_key(
-                    entry.get("digest"),
-                    tuple(entry.get("config") or ()),
-                    entry.get("queries") or (),
-                )] = position
+                last_exact[self._entry_key(entry)] = position
                 source = entry.get("source")
                 kind = (entry.get("client") or {}).get("kind")
                 if source and kind:

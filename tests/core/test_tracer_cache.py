@@ -300,14 +300,16 @@ class TestChargeConservation:
     must sum to the total time the clock advanced."""
 
     def test_charge_splits_equally(self):
-        elapsed = {"a": 0.0, "b": 0.0, "c": 0.0}
-        tracer_mod._charge(["a", "b", "c"], 3.0, elapsed)
-        assert elapsed == {"a": 1.0, "b": 1.0, "c": 1.0}
-        tracer_mod._charge(["a"], 0.5, elapsed)
-        assert elapsed["a"] == pytest.approx(1.5)
+        states = [tracer_mod._QueryState(q, None) for q in "abc"]
+        tracer_mod._charge(states, 3.0, 6.0)
+        assert [s.elapsed for s in states] == [1.0, 1.0, 1.0]
+        assert [s.steps for s in states] == [2.0, 2.0, 2.0]
+        tracer_mod._charge(states[:1], 0.5, 0.0)
+        assert states[0].elapsed == pytest.approx(1.5)
+        assert states[0].steps == 2.0
 
     def test_charge_empty_group_is_noop(self):
-        tracer_mod._charge([], 5.0, {})
+        tracer_mod._charge([], 5.0, 5.0)
 
     def test_group_split_sums_to_wall_time(self, monkeypatch):
         """A 2-query group that splits (one proven round 1, the other

@@ -148,3 +148,36 @@ class TestMinimumMemo:
         store.add_failure_condition(_dnf(lit(StateFact("a"))))
         assert store.choose_minimum() is None
         assert memo.hits == memo.misses == len(memo) == 0
+
+
+_LITERAL = st.tuples(st.sampled_from("wxyz"), st.booleans())
+_CLAUSE = st.frozensets(_LITERAL, min_size=1, max_size=3)
+
+
+class TestRefutes:
+    """The replay step checks only a survivor's added clauses against
+    its round's abstraction.  That is exact because the abstraction is
+    the group store's MinCostSAT minimum, which satisfies every older
+    clause."""
+
+    def test_empty_clause_refutes_everything(self):
+        assert viability_mod.refutes([frozenset()], frozenset({"x"}))
+        assert not viability_mod.refutes([], frozenset())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_CLAUSE, max_size=6),
+        st.lists(_CLAUSE, min_size=1, max_size=4),
+    )
+    def test_added_clauses_decide_exclusion_of_the_minimum(
+        self, older, added
+    ):
+        store = ViabilityStore(TOY, D_INIT)
+        store.add_clauses(older)
+        p = store.choose_minimum()
+        if p is None:
+            return  # no minimum, no ok round to replay
+        assert not viability_mod.refutes(older, p)
+        grown = store.copy()
+        grown.add_clauses(added)
+        assert grown.excludes(p) == viability_mod.refutes(added, p)

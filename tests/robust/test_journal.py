@@ -145,7 +145,8 @@ class TestRecordReplay:
     def test_resume_with_tampered_abstraction_rejected(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         self._solve([Q_PROVEN], SearchJournal(path))
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         doctored = []
         for line in lines:
             record = json.loads(line)
@@ -380,3 +381,69 @@ class TestEveryOutcomeReplays:
         assert warm.replayed_rounds == len(rounds)
         assert _outcomes(records) == outcomes
         assert replayed.certificates == certificates
+
+
+def _unrefuting(record) -> dict:
+    """``record`` with the clauses of its first clause-learning survivor
+    replaced by one clause the recorded abstraction satisfies."""
+    record = json.loads(json.dumps(record))
+    p = set(record["abstraction"])
+    for survivor in record["survivors"]:
+        if survivor["outcome"] == "clauses":
+            var = survivor["clauses"][0][0][0]
+            survivor["clauses"] = [[[var, var in p]]]
+            return record
+    raise AssertionError("no survivor learned clauses")
+
+
+class TestClausesMustRefute:
+    """A recorded survivor whose clauses do not refute its round's
+    abstraction is a mismatch, from every round source."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, hedc_escape, tmp_path_factory):
+        client, queries = hedc_escape
+        path = str(tmp_path_factory.mktemp("refute") / "journal.jsonl")
+        with SearchJournal(path) as journal:
+            run_query_group(client, queries, DEFAULT_CONFIG, journal=journal)
+        header, rounds = load_journal(path)
+        target = next(
+            index
+            for index, rec in enumerate(rounds)
+            if rec["round"] > 1
+            and any(s["outcome"] == "clauses" for s in rec["survivors"])
+        )
+        doctored = list(rounds)
+        doctored[target] = _unrefuting(rounds[target])
+        return header, doctored, target
+
+    def test_journal_resume_rejects(self, recorded, hedc_escape, tmp_path):
+        client, queries = hedc_escape
+        header, rounds, _target = recorded
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "w") as handle:
+            for record in [header] + [dict(r, type="round") for r in rounds]:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        with pytest.raises(JournalMismatch, match="do not eliminate"):
+            with SearchJournal(path, resume=True) as journal:
+                run_query_group(
+                    client, queries, DEFAULT_CONFIG, journal=journal
+                )
+
+    def test_bus_drain_rejects(self, recorded, hedc_escape, tmp_path):
+        from repro.robust.clausebus import (
+            ClauseBus,
+            ClauseFeed,
+            ClauseFeedMismatch,
+        )
+
+        client, queries = hedc_escape
+        _header, rounds, target = recorded
+        path = str(tmp_path / "run.bus")
+        publisher = ClauseBus(path, worker="w1")
+        for rec in rounds[: target + 1]:
+            publisher.publish("t", rec["round"], rec["queries"], rec)
+        feed = ClauseFeed(ClauseBus(path, worker="w2"), scope="t")
+        with pytest.raises(ClauseFeedMismatch, match="do not eliminate"):
+            run_query_group(client, queries, DEFAULT_CONFIG, clause_feed=feed)
+        assert feed.imported == target + 1

@@ -342,7 +342,7 @@ class TestClauseBus:
         assert feed.published == 1
         sibling = ClauseFeed(ClauseBus(path, worker="w2"), scope="t1")
         assert sibling.recorded_round(1, ["q"]) is None
-        assert sibling.recorded_round(2, ["q"]) == {
+        assert sibling.recorded_round(2, ["q"]).raw == {
             "round": 2, "queries": ["q"], "outcome": "ok",
         }
         assert sibling.imported == 1

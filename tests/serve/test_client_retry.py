@@ -188,3 +188,147 @@ class TestBackoff:
                              sleep=slept.append)
         assert client.ping()["pong"] is True
         assert slept == [pytest.approx(0.123)]
+
+
+class ConnectionDaemon:
+    """A unix-socket stub that keeps each accepted connection open for
+    as many requests as its script has, one script per connection, and
+    records the requests read on each connection.
+
+    Each action reads one request line, then: ``("echo", dict)``
+    replies with the request's id merged in, ``("raw", bytes)`` sends
+    bytes verbatim, ``("echo_close", dict)`` replies and then closes
+    the connection while it is idle, ``("close", None)`` closes without
+    replying.  After its script a connection stays open until the
+    client closes it (``eofs`` counts those)."""
+
+    def __init__(self, path, scripts):
+        self.path = path
+        self.scripts = [list(script) for script in scripts]
+        self.connections = []  # requests read, per accepted connection
+        self.eofs = 0
+        self.idle_closed = threading.Event()
+        self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._server.bind(path)
+        self._server.listen(8)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        for script in self.scripts:
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return
+            requests = []
+            self.connections.append(requests)
+            with conn, conn.makefile("rb") as stream:
+                if self._play(conn, stream, script, requests):
+                    if not stream.readline():
+                        self.eofs += 1
+
+    def _play(self, conn, stream, script, requests):
+        """Play one connection's script; whether it is still open."""
+        for action, body in script:
+            line = stream.readline()
+            if not line:
+                return False
+            requests.append(json.loads(line))
+            if action == "close":
+                return False
+            if action == "raw":
+                conn.sendall(body)
+                continue
+            reply = dict(body, request_id=requests[-1]["request_id"])
+            conn.sendall((json.dumps(reply) + "\n").encode())
+            if action == "echo_close":
+                conn.shutdown(socket.SHUT_RDWR)
+                self.idle_closed.set()
+                return False
+        return True
+
+    def close(self):
+        self._server.close()
+        self._thread.join(5)
+
+
+@pytest.fixture
+def connection_daemon(tmp_path):
+    made = []
+
+    def make(scripts):
+        stub = ConnectionDaemon(
+            str(tmp_path / f"kept{len(made)}.sock"), scripts
+        )
+        made.append(stub)
+        return stub
+
+    yield make
+    for stub in made:
+        stub.close()
+
+
+PONG = {"ok": True, "pong": True, "pid": 1}
+
+
+class TestKeptConnection:
+    def test_requests_share_one_connection(self, connection_daemon):
+        stub = connection_daemon([[("echo", PONG)] * 5])
+        with _no_sleep_client(stub.path) as client:
+            for _ in range(5):
+                assert client.ping()["pong"] is True
+        stub.close()
+        assert [len(requests) for requests in stub.connections] == [5]
+        assert stub.eofs == 1  # close() ended the connection
+        assert client.retries_made == 0
+
+    def test_idle_close_is_replaced_with_one_resend(self, connection_daemon):
+        stub = connection_daemon([
+            [("echo_close", PONG)],
+            [("echo", PONG)],
+        ])
+        with _no_sleep_client(stub.path) as client:
+            assert client.ping()["pong"] is True
+            assert stub.idle_closed.wait(5)
+            assert client.ping()["pong"] is True
+        stub.close()
+        assert [len(requests) for requests in stub.connections] == [1, 1]
+        assert client.retries_made == 0
+        assert client.attempts_made == 2
+
+    def test_resend_is_sent_once_then_retries(self, connection_daemon):
+        # The replacement connection also closes without a reply: that
+        # is a transport failure for the retry loop, not a second
+        # resend.
+        stub = connection_daemon([
+            [("echo_close", PONG)],
+            [("close", None)],
+            [("echo", PONG)],
+        ])
+        with _no_sleep_client(stub.path, retries=0) as client:
+            assert client.ping()["pong"] is True
+            assert stub.idle_closed.wait(5)
+            with pytest.raises(ServeError) as excinfo:
+                client.ping()
+            assert excinfo.value.code == "transport"
+            assert client.retries_made == 0
+            assert len(stub.connections) == 2
+            resent = stub.connections[1][0]["request_id"]
+            assert client.ping()["pong"] is True
+        stub.close()
+        assert len(stub.connections) == 3
+        assert stub.connections[2][0]["request_id"] != resent
+
+    def test_bad_reply_drops_the_connection(self, connection_daemon):
+        stub = connection_daemon([
+            [("raw", b'{"ok": true, "pong"\n')],
+            [("echo", PONG)],
+        ])
+        with _no_sleep_client(stub.path) as client:
+            assert client.ping()["pong"] is True
+        stub.close()
+        # The client closed the connection that sent garbage, and the
+        # retry went out on a new one.
+        assert [len(requests) for requests in stub.connections] == [1, 1]
+        assert stub.eofs == 2
+        assert client.retries_made == 1

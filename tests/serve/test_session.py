@@ -3,18 +3,22 @@ bit-identical to cold ones) across all three bundled clients, the
 clause tier on edited programs, stale-entry fallback, and journal
 precedence."""
 
+import collections
 import gc
 import json
 import weakref
 
 import pytest
 
+import repro.core.tracer as tracer_mod
+import repro.robust.journal as journal_mod
 import repro.serve.store as store_mod
 from repro.core.tracer import TracerConfig
 from repro.escape.client import EscapeQuery
 from repro.provenance.client import ProvenanceQuery
-from repro.robust.certify import CertificateStore
+from repro.robust.certify import CertificateStore, QueryEvidence
 from repro.robust.journal import SearchJournal
+from repro.serve.dispatch import solve_request
 from repro.serve.session import AnalysisSession, describe_client
 from repro.serve.store import KnowledgeStore, config_key, program_digest
 from repro.typestate.client import TypestateQuery
@@ -403,9 +407,30 @@ class TestStoreKeyMemo:
             assert len(session._store_keys) == 0
 
 
-def _tamper_abstraction(entry) -> bool:
-    """Change the recorded abstraction of the last ``ok`` round after
+def _tamper_abstraction(rounds) -> bool:
+    """Change the decoded abstraction of the last ``ok`` round after
     the first."""
+    for rec in reversed(rounds):
+        if rec.outcome == "ok" and rec.round > 1:
+            rec.p = rec.p ^ {"bogus"}
+            return True
+    return False
+
+
+def _drop_survivor_clauses(rounds) -> bool:
+    """Empty the decoded clauses of the last survivor that learned
+    some."""
+    for rec in reversed(rounds):
+        for survivor in rec.survivors:
+            if survivor.outcome == "clauses" and survivor.added:
+                survivor.added = ()
+                return True
+    return False
+
+
+def _tamper_recorded_abstraction(entry) -> bool:
+    """Change the recorded (JSON) abstraction of the last ``ok`` round
+    after the first."""
     for rec in reversed(entry["rounds"]):
         if rec.get("outcome") == "ok" and rec["round"] > 1:
             recorded = set(rec["abstraction"])
@@ -414,19 +439,27 @@ def _tamper_abstraction(entry) -> bool:
     return False
 
 
-def _drop_survivor_clauses(entry) -> bool:
-    """Empty the clauses of the last survivor that learned some."""
-    for rec in reversed(entry["rounds"]):
-        for survivor in rec.get("survivors", []):
-            if survivor.get("outcome") == "clauses" and survivor["clauses"]:
-                survivor["clauses"] = []
-                return True
-    return False
-
-
 class TestTamperAfterWarm:
     """A tampered entry is caught by the per-round checks even when a
-    good replay of the same entry has already filled every memo."""
+    good replay of the same entry has already filled every memo.
+
+    After its first replay an entry's rounds are read decoded, so the
+    decoded rounds are what a later read checks, and what these tests
+    tamper with; an edit of the file is caught when a fresh handle
+    loads it."""
+
+    NAME, ANALYSIS = "tsp", "escape"
+
+    def _solve(self, session):
+        return [
+            (result.mode, {
+                str(q): (r.status.value, r.iterations, r.abstraction)
+                for q, r in result.records.items()
+            })
+            for _i, _q, result in session.solve_benchmark(
+                self.NAME, self.ANALYSIS, CONFIG
+            )
+        ]
 
     @pytest.mark.parametrize(
         "tamper", [_tamper_abstraction, _drop_survivor_clauses]
@@ -434,26 +467,13 @@ class TestTamperAfterWarm:
     def test_tampered_entry_goes_stale_in_a_warm_session(
         self, tmp_path, tamper
     ):
-        name, analysis = "tsp", "escape"
-
-        def solve(session):
-            return [
-                (result.mode, {
-                    str(q): (r.status.value, r.iterations, r.abstraction)
-                    for q, r in result.records.items()
-                })
-                for _i, _q, result in session.solve_benchmark(
-                    name, analysis, CONFIG
-                )
-            ]
-
-        ((_mode, oracle),) = solve(AnalysisSession())
+        ((_mode, oracle),) = self._solve(AnalysisSession())
         with KnowledgeStore(str(tmp_path / "store.jsonl")) as store:
             session = AnalysisSession(store=store)
-            assert [m for m, _v in solve(session)] == ["cold"]
-            assert solve(session) == [("replay", oracle)]
+            assert [m for m, _v in self._solve(session)] == ["cold"]
+            assert self._solve(session) == [("replay", oracle)]
             ((client, queries),) = session.client_setups(
-                session.prepare(name), analysis
+                session.prepare(self.NAME), self.ANALYSIS
             )
             key = (
                 session._store_keys[client][1],
@@ -461,10 +481,123 @@ class TestTamperAfterWarm:
                 [str(q) for q in queries],
             )
             entry = store.lookup(*key)
-            assert tamper(entry)
-            assert solve(session) == [("stale", oracle)]
+            rounds = store.recorded_rounds(entry)
+            assert rounds and all(rec.decoded for rec in rounds)
+            assert tamper(rounds)
+            assert self._solve(session) == [("stale", oracle)]
             assert session.stats["stale_entries"] == 1
-            # The tampered entry is forgotten; the cold re-run recorded
-            # a good one, which the next read replays.
+            # The tampered entry is forgotten with its decoded rounds;
+            # the cold re-run recorded a good one, which the next read
+            # replays.
             assert store.lookup(*key) is not entry
-            assert solve(session) == [("replay", oracle)]
+            assert store.recorded_rounds(entry) is not rounds
+            assert self._solve(session) == [("replay", oracle)]
+
+    def test_file_edit_is_caught_by_a_fresh_handle(self, tmp_path):
+        ((_mode, oracle),) = self._solve(AnalysisSession())
+        path = str(tmp_path / "store.jsonl")
+        with KnowledgeStore(path) as store:
+            session = AnalysisSession(store=store)
+            assert [m for m, _v in self._solve(session)] == ["cold"]
+            assert self._solve(session) == [("replay", oracle)]
+        with open(path) as handle:
+            header, line = handle.read().splitlines()
+        entry = json.loads(line)
+        assert _tamper_recorded_abstraction(entry)
+        with open(path, "w") as handle:
+            handle.write(header + "\n" + json.dumps(entry) + "\n")
+        problems, _summary = store_mod.verify_store(path)
+        assert any("checksum mismatch" in p for p in problems)
+        with KnowledgeStore(path) as store:
+            session = AnalysisSession(store=store)
+            assert self._solve(session) == [("stale", oracle)]
+            assert self._solve(session) == [("replay", oracle)]
+
+
+class TestReplayReadCost:
+    """A replay read of an entry already replayed in this process costs
+    its checks: its rounds are read decoded, each query object is
+    hashed at most twice (to build its record and to read it), and no
+    certificate evidence is built unless certificates are collected."""
+
+    KEYS = (("tsp", "typestate"), ("tsp", "escape"))
+
+    def _read(self, session):
+        for name, analysis in self.KEYS:
+            response, tiers = solve_request(
+                session,
+                CONFIG,
+                {"op": "solve-bench", "benchmark": name, "analysis": analysis},
+            )
+            assert response["ok"]
+            yield tiers
+
+    def test_second_replay_decodes_nothing(self, tmp_path, monkeypatch):
+        with KnowledgeStore(str(tmp_path / "store.jsonl")) as store:
+            session = AnalysisSession(store=store)
+            assert all("cold" in tiers for tiers in self._read(session))
+            decoded = []
+            real = journal_mod.clause_from_jsonable
+
+            def counting(items):
+                decoded.append(items)
+                return real(items)
+
+            monkeypatch.setattr(journal_mod, "clause_from_jsonable", counting)
+            assert all("replay" in tiers for tiers in self._read(session))
+            assert decoded  # the first replay decodes the entry...
+            del decoded[:]
+            assert all("replay" in tiers for tiers in self._read(session))
+            assert decoded == []  # ...and the second reads it decoded
+
+    def test_each_query_is_hashed_at_most_twice(self, tmp_path, monkeypatch):
+        with KnowledgeStore(str(tmp_path / "store.jsonl")) as store:
+            session = AnalysisSession(store=store)
+            for _pass in range(2):
+                list(self._read(session))
+            hashes = collections.Counter()
+            for cls in (TypestateQuery, EscapeQuery):
+                real = cls.__hash__
+
+                def counting(query, real=real):
+                    hashes[id(query)] += 1
+                    return real(query)
+
+                monkeypatch.setattr(cls, "__hash__", counting)
+            assert all("replay" in tiers for tiers in self._read(session))
+            queries = [
+                query
+                for name, analysis in self.KEYS
+                for _client, unit in session.client_setups(
+                    session.prepare(name), analysis
+                )
+                for query in unit
+            ]
+        assert len(queries) > 10
+        assert set(hashes) == {id(query) for query in queries}
+        assert max(hashes.values()) <= 2
+
+    def test_evidence_only_with_certificates(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingEvidence(QueryEvidence):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(tracer_mod, "QueryEvidence", CountingEvidence)
+        with KnowledgeStore(str(tmp_path / "store.jsonl")) as store:
+            session = AnalysisSession(store=store)
+            client, queries = _typestate(session)
+            session.solve(client, queries, CONFIG, source="test:prog")
+            del built[:]
+            result = session.solve(client, queries, CONFIG, source="test:prog")
+            assert result.mode == "replay"
+            assert built == []
+            certs = CertificateStore()
+            result = session.solve(
+                client, queries, CONFIG,
+                certificates=certs, source="test:prog",
+            )
+            assert result.mode == "replay"
+            assert len(built) == len(queries) == len(certs.certificates)

@@ -180,3 +180,46 @@ class TestCrashTolerance:
             handle.write(json.dumps({"type": "future_thing"}) + "\n")
         with KnowledgeStore(path) as store:
             assert store.entries_loaded == 1
+
+
+class TestRecordedRounds:
+    """An indexed entry keeps its rounds' replay forms, and drops them
+    when it is forgotten, superseded or compacted away."""
+
+    def _store(self, tmp_path, shared=False):
+        store = KnowledgeStore(str(tmp_path / "store.jsonl"), shared=shared)
+        entry = store.record(**_entry_args("a" * 64))
+        return store, entry
+
+    def test_kept_while_indexed(self, tmp_path):
+        store, entry = self._store(tmp_path)
+        with store:
+            rounds = store.recorded_rounds(entry)
+            assert [rec.raw for rec in rounds] == entry["rounds"]
+            assert not any(rec.decoded for rec in rounds)  # lazily
+            assert store.recorded_rounds(entry) is rounds
+
+    def test_forgotten_entry_drops_them(self, tmp_path):
+        store, entry = self._store(tmp_path)
+        with store:
+            rounds = store.recorded_rounds(entry)
+            store.forget(entry)
+            assert store._replays == {}
+            assert store.recorded_rounds(entry) is not rounds
+            assert store._replays == {}  # not kept for a forgotten entry
+
+    def test_superseded_entry_drops_them(self, tmp_path):
+        store, entry = self._store(tmp_path)
+        with store:
+            store.recorded_rounds(entry)
+            newer = store.record(**_entry_args("a" * 64))
+            assert store._replays == {}
+            assert store.recorded_rounds(newer) is store.recorded_rounds(newer)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_compaction_drops_them(self, tmp_path, shared):
+        store, entry = self._store(tmp_path, shared=shared)
+        with store:
+            store.recorded_rounds(entry)
+            store.compact()
+            assert store._replays == {}
