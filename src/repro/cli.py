@@ -831,10 +831,10 @@ def _cmd_store(args) -> int:
             return EXIT_FAILED_UNITS
         print("store is healthy", file=sys.stderr)
         return EXIT_OK
-    # compact and stats open the store in shared mode: flock-
-    # coordinated, safe while a daemon is serving from the same file.
+    # Every store handle appends and compacts under the log's flock, so
+    # compact and stats are safe while a daemon serves the same file.
     try:
-        with KnowledgeStore(args.file, shared=True) as store:
+        with KnowledgeStore(args.file) as store:
             if args.store_command == "stats":
                 print(json.dumps(store.stats(), indent=2, sort_keys=True))
             else:

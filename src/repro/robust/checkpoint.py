@@ -12,16 +12,10 @@ a resumed evaluation is record-for-record identical to an uninterrupted
 one (worker trace events are the one thing not checkpointed — a
 resumed unit replays no spans).
 
-Crash semantics, shared with the search journal
-(:mod:`repro.robust.journal`) through :func:`scan_jsonl` and
-:class:`JsonlAppender`:
-
-* a *trailing* truncated line — the one a SIGKILL mid-write leaves —
-  is skipped on load and truncated away before the next append, so a
-  recovered file never grows a record concatenated onto a torn tail;
-* a corrupt *interior* line raises: that is data loss, not a crash
-  tail, and silently dropping completed units would be worse than
-  failing loudly.
+Crash semantics are the durable-log rule of
+:mod:`repro.robust.durablelog` (``docs/ROBUSTNESS.md``, "Durable
+logs"): a torn final line is skipped and cut before the next append;
+a damaged line before it raises.
 
 Granularity: this file checkpoints *whole units*, and stays at that
 granularity so existing checkpoints and tooling keep working.  The
@@ -35,18 +29,15 @@ here (see :func:`repro.bench.parallel._run_leased`).
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.stats import CacheCounters, QueryRecord
+from repro.robust.durablelog import DurableLog
 
 __all__ = [
     "CheckpointWriter",
-    "JsonlAppender",
     "UnitKey",
     "load_checkpoint",
-    "scan_jsonl",
     "unit_from_dict",
     "unit_to_dict",
 ]
@@ -61,92 +52,6 @@ UnitKey = Tuple[str, str, int]  # (benchmark, analysis, unit index)
 UnitPayload = Tuple[
     List[QueryRecord], Dict[str, CacheCounters], int, List[dict]
 ]
-
-
-def scan_jsonl(path: str) -> Tuple[List[dict], int]:
-    """Parse a JSONL file of dict records written by an fsync-per-line
-    appender; returns ``(records, intact_length)`` where
-    ``intact_length`` is the byte offset just past the last intact line.
-
-    A torn final line (missing its newline, or not valid JSON — what a
-    SIGKILL mid-write leaves behind) is skipped.  A corrupt line
-    *before* the end raises ``ValueError``: interior corruption is data
-    loss, not a crash tail, and must not be silently dropped.  A
-    missing file is simply empty."""
-    records: List[dict] = []
-    intact = 0
-    if not os.path.exists(path):
-        return records, intact
-    with open(path, "rb") as handle:
-        data = handle.read()
-    lines = data.splitlines(keepends=True)
-    offset = 0
-    for index, line in enumerate(lines):
-        is_last = index == len(lines) - 1
-        if not line.endswith(b"\n"):
-            # Writers newline-terminate every record; a line without
-            # one is a torn tail (only the last line can lack it).
-            break
-        offset += len(line)
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
-            intact = offset
-            continue
-        record: Optional[dict] = None
-        try:
-            parsed = json.loads(text)
-            if isinstance(parsed, dict):
-                record = parsed
-        except ValueError:
-            record = None
-        if record is None:
-            if is_last:
-                break  # torn tail from a crash mid-write
-            raise ValueError(
-                f"{path}: corrupt JSONL record on line {index + 1} "
-                "(not a trailing crash artifact)"
-            )
-        records.append(record)
-        intact = offset
-    return records, intact
-
-
-class JsonlAppender:
-    """Crash-safe append-only JSONL writer.
-
-    On open, the file is truncated back to its last intact line (see
-    :func:`scan_jsonl`), so appending after a SIGKILL never produces a
-    record concatenated onto a torn tail.  Every record is written,
-    flushed, and fsync'd before :meth:`append` returns — a kill at any
-    instant loses at most the record being written."""
-
-    def __init__(self, path: str):
-        self.path = path
-        if os.path.exists(path):
-            _records, intact = scan_jsonl(path)
-            handle = open(path, "r+")
-            handle.truncate(intact)
-            handle.seek(intact)
-            self.fresh = intact == 0
-        else:
-            handle = open(path, "w")
-            self.fresh = True
-        self._handle = handle
-
-    def append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "JsonlAppender":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
 
 def unit_to_dict(key: UnitKey, payload: UnitPayload) -> dict:
@@ -181,22 +86,24 @@ def unit_from_dict(data: dict) -> Tuple[UnitKey, UnitPayload]:
     return key, (records, metrics, int(data.get("attempts", 1)), certificates)
 
 
+def _log(path: str) -> DurableLog:
+    return DurableLog(path, "checkpoint", CHECKPOINT_VERSION)
+
+
 class CheckpointWriter:
-    """Append-only JSONL writer; one flushed line per completed unit."""
+    """Append-only JSONL writer; one fsync'd line per completed unit.
+    Opening reads the whole checkpoint, so a damaged one raises here."""
 
     def __init__(self, path: str):
         self.path = path
-        self._appender = JsonlAppender(path)
-        if self._appender.fresh:
-            self._appender.append(
-                {"type": "checkpoint_header", "version": CHECKPOINT_VERSION}
-            )
+        self._log = _log(path)
+        self._log.open()
 
     def write_unit(self, key: UnitKey, payload: UnitPayload) -> None:
-        self._appender.append(unit_to_dict(key, payload))
+        self._log.append(unit_to_dict(key, payload))
 
     def close(self) -> None:
-        self._appender.close()
+        """Nothing to release: every append opens its own handle."""
 
     def __enter__(self) -> "CheckpointWriter":
         return self
@@ -217,18 +124,9 @@ def load_checkpoint(path: str) -> Dict[UnitKey, UnitPayload]:
     is not a crash artifact, and pretending the affected units never
     ran would silently redo — or worse, half-merge — finished work."""
     completed: Dict[UnitKey, UnitPayload] = {}
-    records, _intact = scan_jsonl(path)
-    for data in records:
-        rtype = data.get("type")
-        if rtype == "checkpoint_header":
-            version = data.get("version")
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported checkpoint version {version!r}"
-                )
-            continue
-        if rtype != "unit":
-            continue  # unknown record types are forward-compatible
+    for data in _log(path).read():
+        if data.get("type") != "unit":
+            continue  # headers; unknown types are forward-compatible
         try:
             key, payload = unit_from_dict(data)
         except (KeyError, TypeError, ValueError) as error:

@@ -37,32 +37,23 @@ wall-clock-dependent (re-running them may legitimately differ), and
 ``"impossible"`` rounds are a single cheap MinCostSAT call — not worth
 the coupling.
 
-Durability discipline matches :mod:`repro.robust.leases`: torn-tail
-tolerant incremental scans, truncate-then-append + fsync under an
-exclusive flock on a sidecar lock file, and a per-record sha256.  The
-append path reads only the file's final bytes — a final line without
-its newline is a dead writer's torn tail and is cut off — and never
-parses or checksums records other workers wrote; a handle reads the
-bus only when a task drains it, from where its previous read ended.
-Publishing is strictly best-effort — any IO error disables the feed
-for the rest of the task rather than failing the evaluation.
+The bus is a sealed durable log (:mod:`repro.robust.durablelog`;
+``docs/ROBUSTNESS.md``, "Durable logs").  A publish reads only the
+file's tail and parses at most its final line, to cut a torn one; it
+never checksums or indexes what other workers wrote.  A handle reads
+the bus only when a task drains it, from where its previous read
+ended.  Publishing is strictly best-effort — any IO error disables the
+feed for the rest of the task rather than failing the evaluation.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.robust.durablelog import DurableLog
 from repro.robust.journal import RecordedRound
-from repro.robust.leases import (
-    LeaseCorruption,
-    _LeaseLock,
-    _scan_from,
-    record_checksum,
-)
 
 __all__ = [
     "BUS_VERSION",
@@ -80,84 +71,46 @@ class ClauseFeedMismatch(ValueError):
     viability store — the import is discarded, never trusted."""
 
 
+def _log(path: str) -> DurableLog:
+    return DurableLog(path, "bus", BUS_VERSION, sealed=True)
+
+
 def load_bus_records(path: str) -> List[dict]:
     """Every intact record of a clause-bus log, checksums verified."""
-    records, _intact = _scan_from(path, 0)
-    for index, record in enumerate(records):
-        stored = record.get("sha256")
-        if stored is not None and stored != record_checksum(record):
-            raise LeaseCorruption(f"{path}: record {index} fails its checksum")
-    return records
-
-
-#: Bytes read per step when looking back for the last newline.
-_TAIL_BLOCK = 4096
-
-
-def _cut_torn_tail(handle) -> int:
-    """Truncate ``handle``'s file after its last newline; returns the
-    intact length.
-
-    Bytes past the last newline are a writer killed mid-append (the
-    torn-tail rule of :func:`~repro.robust.leases._scan_from`); cutting
-    them keeps the next record from being concatenated onto them.
-    Only the tail is read, and no record is parsed."""
-    size = handle.seek(0, os.SEEK_END)
-    end = size
-    while end:
-        start = max(0, end - _TAIL_BLOCK)
-        handle.seek(start)
-        newline = handle.read(end - start).rfind(b"\n")
-        if newline >= 0:
-            end = start + newline + 1
-            break
-        end = start
-    if end < size:
-        handle.truncate(end)
-    return end
+    return _log(path).read()
 
 
 class ClauseBus:
     """One process's handle on the shared round log.
 
-    A worker keeps one handle for all its tasks.  Writes cut a torn
-    tail, append, and fsync under the flock without reading what
-    siblings appended; reads are lock-free incremental scans (torn
-    tails tolerated) from where this handle's previous read ended, so
-    an append never skips rounds the handle has not read yet.
+    A worker keeps one handle for all its tasks.  An append reads only
+    the file's tail; reads are lock-free and go on from where this
+    handle's previous read ended, so an append never skips rounds the
+    handle has not read yet.  The rounds a handle published are
+    indexed as it appends them, so it finds them without reading.
     """
 
     def __init__(self, path: str, worker: str, fresh: bool = False):
         self.path = path
         self.worker = worker
         self._mutex = threading.Lock()
-        #: End of the last record this handle read (appends leave it).
-        self._offset = 0
+        self._log = _log(path)
+        #: Rounds this handle read or published; the first copy of a
+        #: key is kept (rounds are deterministic per scope, so later
+        #: duplicates are identical anyway).
         self._rounds: Dict[Tuple[str, int, Tuple[str, ...]], dict] = {}
-        #: Keys this handle appended, for dedup without reading.
-        self._appended: Set[Tuple[str, int, Tuple[str, ...]]] = set()
         self.published = 0
         self.dropped = 0
         self.disabled = False
         try:
-            with self._mutex, _LeaseLock(path), open(path, "a+b") as handle:
-                if fresh:
-                    handle.truncate(0)
-                if _cut_torn_tail(handle) == 0:
-                    self._append(
-                        handle, {"type": "bus_header", "version": BUS_VERSION}
-                    )
+            with self._mutex:
+                self._log.open(fresh=fresh, read=False)
         except OSError:
             self.disabled = True
 
     # -- shared-file plumbing ----------------------------------------------
 
     def _ingest(self, record: dict) -> None:
-        stored = record.get("sha256")
-        if stored is not None and stored != record_checksum(record):
-            raise LeaseCorruption(
-                f"{self.path}: clause-bus record fails its checksum"
-            )
         if record.get("type") != "round":
             return
         key = (
@@ -165,22 +118,11 @@ class ClauseBus:
             int(record["round"]),
             tuple(record["queries"]),
         )
-        # First publication wins; rounds are deterministic per scope so
-        # later duplicates are identical anyway.
         self._rounds.setdefault(key, record)
 
     def _read(self) -> None:
-        records, self._offset = _scan_from(self.path, self._offset)
-        for record in records:
+        for record in self._log.read():
             self._ingest(record)
-
-    @staticmethod
-    def _append(handle, record: dict) -> None:
-        record = dict(record)
-        record["sha256"] = record_checksum(record)
-        handle.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
-        handle.flush()
-        os.fsync(handle.fileno())
 
     # -- the bus protocol ---------------------------------------------------
 
@@ -196,23 +138,19 @@ class ClauseBus:
         key = (scope, int(round_index), tuple(queries))
         try:
             with self._mutex:
-                if key in self._appended or key in self._rounds:
+                if key in self._rounds:
                     return False
-                with _LeaseLock(self.path), open(self.path, "a+b") as handle:
-                    _cut_torn_tail(handle)
-                    self._append(
-                        handle,
-                        {
-                            "type": "round",
-                            "scope": scope,
-                            "round": int(round_index),
-                            "queries": list(queries),
-                            "worker": self.worker,
-                            "record": record,
-                            "t": time.time(),
-                        },
-                    )
-                self._appended.add(key)
+                self._rounds[key] = self._log.append(
+                    {
+                        "type": "round",
+                        "scope": scope,
+                        "round": int(round_index),
+                        "queries": list(queries),
+                        "worker": self.worker,
+                        "record": record,
+                        "t": time.time(),
+                    }
+                )
                 self.published += 1
                 return True
         except OSError:

@@ -5,9 +5,9 @@ The grouped driver (:func:`repro.core.tracer.run_query_group`) appends
 one record per executed group-round: the chosen abstraction, the
 forward verdict per member, every learned failure clause together with
 the counterexample trace that justified it, degradation steps, and the
-time/step charges.  Records are flushed and fsync'd as they are
-written (:class:`repro.robust.checkpoint.JsonlAppender`), so a SIGKILL
-at any instant loses at most the round in flight.
+time/step charges.  The journal is a durable log
+(:mod:`repro.robust.durablelog`; ``docs/ROBUSTNESS.md``, "Durable
+logs"), so a SIGKILL at any instant loses at most the round in flight.
 
 On ``--resume-journal`` the driver *replays* the recorded rounds
 before going live: learned clauses feed straight back into the
@@ -79,7 +79,7 @@ from repro.lang.ast import (
     ThreadStart,
     Trace,
 )
-from repro.robust.checkpoint import JsonlAppender, scan_jsonl
+from repro.robust.durablelog import DurableLog
 
 __all__ = [
     "JournalMismatch",
@@ -310,26 +310,30 @@ class RecordedRound:
 # -- the journal --------------------------------------------------------------
 
 
-def load_journal(path: str) -> Tuple[Optional[dict], List[dict]]:
-    """Read ``(header, round records)`` from a journal file, skipping a
-    trailing torn line; raises on interior corruption or an unknown
-    version."""
-    records, _intact = scan_jsonl(path)
+def _log(path: str) -> DurableLog:
+    return DurableLog(path, "journal", JOURNAL_VERSION)
+
+
+def _header_and_rounds(
+    records: List[dict],
+) -> Tuple[Optional[dict], List[dict]]:
     header: Optional[dict] = None
     rounds: List[dict] = []
     for record in records:
         rtype = record.get("type")
         if rtype == "journal_header":
-            version = record.get("version")
-            if version != JOURNAL_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported journal version {version!r}"
-                )
             header = record
         elif rtype == "round":
             rounds.append(record)
         # other record types are forward-compatible noise
     return header, rounds
+
+
+def load_journal(path: str) -> Tuple[Optional[dict], List[dict]]:
+    """Read ``(header, round records)`` from a journal file, skipping a
+    trailing torn line; raises on interior corruption or an unknown
+    version."""
+    return _header_and_rounds(_log(path).read())
 
 
 class RecordedRounds:
@@ -373,25 +377,22 @@ class SearchJournal(RecordedRounds):
     """One ``run_query_group`` call's journal: the recorded rounds to
     replay plus a crash-safe appender for new ones.
 
-    ``resume=False`` starts a fresh journal (an existing file is
-    truncated — a journal describes exactly one search); ``resume=True``
-    loads the recorded rounds for replay and appends the live rounds
-    that follow them."""
+    ``resume=False`` starts a fresh journal (:meth:`begin` empties an
+    existing file — a journal describes exactly one search);
+    ``resume=True`` loads the recorded rounds for replay and appends the
+    live rounds that follow them."""
 
     def __init__(self, path: str, resume: bool = False):
         self.path = path
+        self._log = _log(path)
+        self._fresh = not resume
         self._header: Optional[dict] = None
         rounds: List[dict] = []
         if resume:
-            self._header, rounds = load_journal(path)
+            self._header, rounds = _header_and_rounds(self._log.read())
             if self._header is None and rounds:
                 raise ValueError(f"{path}: journal has rounds but no header")
-        else:
-            # A fresh journal: drop any previous contents.
-            with open(path, "w"):
-                pass
         super().__init__(rounds)
-        self._appender = JsonlAppender(path)
 
     def begin(self, query_ids: List[str]) -> None:
         """Open the journal for this query set: validate the header on
@@ -404,22 +405,16 @@ class SearchJournal(RecordedRounds):
                     f"{recorded!r}, not {list(query_ids)!r}"
                 )
         else:
-            header = {
-                "type": "journal_header",
-                "version": JOURNAL_VERSION,
-                "queries": list(query_ids),
-            }
-            self._appender.append(header)
-            self._header = header
+            self._log.open(fresh=self._fresh, queries=list(query_ids))
 
     def record_round(self, record: dict) -> None:
         """Append one round the search ran live or replayed from
         another source (its own recorded rounds are already on
         disk)."""
-        self._appender.append(dict(record, type="round"))
+        self._log.append(dict(record, type="round"))
 
     def close(self) -> None:
-        self._appender.close()
+        """Nothing to release: every append opens its own handle."""
 
     def __enter__(self) -> "SearchJournal":
         return self

@@ -43,28 +43,22 @@ Attempt numbering is monotone across the log's whole life, but a
 timed out under yesterday's bug could never be retried by today's
 ``--resume``.
 
-Crash discipline is shared with the rest of the robustness layer:
-torn-tail-tolerant parsing via :func:`~repro.robust.checkpoint.scan_jsonl`
-semantics (a dead writer's truncated final line is skipped on load and
-truncated away before the next append; interior corruption raises),
-every append is flushed and fsync'd, and — because several *processes*
-append concurrently — all reads-for-append and writes happen under an
-exclusive ``flock`` on ``path + ".lock"``, the shared-mode pattern of
-:mod:`repro.serve.store`.  Every record carries a ``sha256`` of its
-own canonical JSON (minus the field itself) so bit rot and hand-edits
-are caught on load, mirroring the knowledge store's entry checksums.
+The lease log is a sealed durable log (:mod:`repro.robust.durablelog`;
+``docs/ROBUSTNESS.md``, "Durable logs"): every record carries a
+``sha256``, and because several *processes* append concurrently, each
+operation reads what siblings appended and appends under the log's
+``flock``.
 """
 
 from __future__ import annotations
 
-import fcntl
-import hashlib
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.robust.durablelog import DurableLog, audit, record_checksum
+from repro.robust.durablelog import LogCorruption as LeaseCorruption
 
 __all__ = [
     "Claim",
@@ -94,106 +88,25 @@ class LeaseConsistencyError(RuntimeError):
     describe this evaluation — determinism is broken, fail loudly."""
 
 
-class LeaseCorruption(ValueError):
-    """A lease record failed its checksum or the file is damaged in a
-    way a crash cannot explain (interior corruption)."""
-
-
-def record_checksum(record: dict) -> str:
-    """sha256 over the record's sorted-keys JSON with the ``sha256``
-    field itself excluded — the knowledge store's entry checksum,
-    restated here so ``robust`` stays import-free of ``serve``."""
-    body = {key: value for key, value in record.items() if key != "sha256"}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 def payload_fingerprint(payload: dict, volatile: Sequence[str] = ()) -> str:
-    """Semantic checksum of a completion payload: canonical JSON with
-    the ``volatile`` top-level keys removed.  Callers name the fields
-    an honest re-execution may legitimately change (wall-clock, cache
-    counters, trace events); everything else must be bit-identical
-    across attempts of the same task."""
-    body = {k: v for k, v in payload.items() if k not in volatile}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    """Semantic checksum of a completion payload: the record checksum
+    of the payload with the ``volatile`` top-level keys removed.
+    Callers name the fields an honest re-execution may legitimately
+    change (wall-clock, cache counters, trace events); everything else
+    must be bit-identical across attempts of the same task."""
+    return record_checksum(
+        {k: v for k, v in payload.items() if k not in volatile}
+    )
 
 
-class _LeaseLock:
-    """Exclusive cross-process lock on ``path + ".lock"`` (never the
-    log itself, mirroring :class:`repro.serve.store._StoreLock`)."""
-
-    def __init__(self, path: str):
-        self.path = path + ".lock"
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_LeaseLock":
-        self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        fcntl.flock(self._fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        fcntl.flock(self._fd, fcntl.LOCK_UN)
-        os.close(self._fd)
-        self._fd = None
-        return False
-
-
-def _scan_from(path: str, offset: int) -> Tuple[List[dict], int]:
-    """Incremental :func:`~repro.robust.checkpoint.scan_jsonl`: parse
-    complete lines from byte ``offset`` on; returns ``(records, new
-    intact offset)``.  The same torn-tail rule applies — only the
-    file's final line may be damaged; a corrupt line before the end
-    raises :class:`LeaseCorruption`."""
-    records: List[dict] = []
-    if not os.path.exists(path):
-        return records, offset
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        data = handle.read()
-    lines = data.splitlines(keepends=True)
-    intact = offset
-    position = offset
-    for index, line in enumerate(lines):
-        if not line.endswith(b"\n"):
-            break  # torn tail from a writer killed mid-append
-        position += len(line)
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
-            intact = position
-            continue
-        record: Optional[dict] = None
-        try:
-            parsed = json.loads(text)
-            if isinstance(parsed, dict):
-                record = parsed
-        except ValueError:
-            record = None
-        if record is None:
-            if index == len(lines) - 1:
-                break
-            raise LeaseCorruption(
-                f"{path}: corrupt lease record at byte {position} "
-                "(not a trailing crash artifact)"
-            )
-        records.append(record)
-        intact = position
-    return records, intact
+def _log(path: str) -> DurableLog:
+    return DurableLog(path, "lease", LEASE_VERSION, sealed=True)
 
 
 def load_lease_records(path: str) -> List[dict]:
     """Every intact record of a lease log (missing file = empty),
     checksums verified."""
-    records, _intact = _scan_from(path, 0)
-    for index, record in enumerate(records):
-        stored = record.get("sha256")
-        if stored is not None and stored != record_checksum(record):
-            raise LeaseCorruption(
-                f"{path}: record {index} fails its checksum"
-            )
-    return records
+    return _log(path).read()
 
 
 @dataclass(frozen=True)
@@ -209,15 +122,15 @@ class LeaseLog:
     """One process's handle on the shared lease log.
 
     Thread-safe (the heartbeat thread and the task loop share one
-    instance); every mutation syncs the tail, truncates a dead
-    writer's torn line, appends, and fsyncs — all under the flock.
+    instance); every operation reads what siblings appended and
+    appends under the log's flock.
     """
 
     def __init__(self, path: str, worker: str, fresh: bool = False):
         self.path = path
         self.worker = worker
         self._mutex = threading.Lock()
-        self._offset = 0
+        self._log = _log(path)
         self._claims: Dict[TaskKey, dict] = {}
         self._attempts: Dict[TaskKey, int] = {}
         self._completes: Dict[TaskKey, dict] = {}
@@ -229,32 +142,15 @@ class LeaseLog:
         self.steals = 0
         self.duplicates = 0
         self.heartbeats = 0
-        with self._mutex, _LeaseLock(path):
-            if fresh and os.path.exists(path):
-                with open(path, "w"):
-                    pass
-            self._sync_locked()
-            if self._offset == 0:
-                self._append_locked(
-                    {"type": "lease_header", "version": LEASE_VERSION}
-                )
+        with self._mutex:
+            for record in self._log.open(fresh=fresh):
+                self._ingest(record)
 
     # -- shared-file plumbing (call under mutex + flock) -------------------
 
     def _ingest(self, record: dict) -> None:
-        stored = record.get("sha256")
-        if stored is not None and stored != record_checksum(record):
-            raise LeaseCorruption(
-                f"{self.path}: lease record fails its checksum"
-            )
         rtype = record.get("type")
-        if rtype == "lease_header":
-            version = record.get("version")
-            if version != LEASE_VERSION:
-                raise LeaseConsistencyError(
-                    f"{self.path}: unsupported lease log version {version!r}"
-                )
-        elif rtype == "claim":
+        if rtype == "claim":
             task = tuple(record["task"])
             self._claims[task] = record
             self._attempts[task] = max(
@@ -281,26 +177,11 @@ class LeaseLog:
         # unknown record types are forward-compatible noise
 
     def _sync_locked(self) -> None:
-        records, self._offset = _scan_from(self.path, self._offset)
-        for record in records:
+        for record in self._log.read():
             self._ingest(record)
 
     def _append_locked(self, record: dict) -> None:
-        record = dict(record)
-        record["sha256"] = record_checksum(record)
-        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        if size > self._offset:
-            # A writer died mid-append: truncate its torn tail so our
-            # record is never concatenated onto it.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(self._offset)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        with open(self.path, "ab") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._offset += len(line)
-        self._ingest(record)
+        self._ingest(self._log.append(record))
 
     # -- task-state queries -------------------------------------------------
 
@@ -340,7 +221,7 @@ class LeaseLog:
         now: Optional[float] = None,
     ) -> Dict[TaskKey, str]:
         """Per-task status after folding in siblings' appends."""
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             now = time.time() if now is None else now
             return {
@@ -360,7 +241,7 @@ class LeaseLog:
         """Atomically claim the first claimable task in ``tasks`` order
         (fresh, retry after a voluntary release, or steal of an expired
         lease); ``None`` when nothing is claimable right now."""
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             now = time.time() if now is None else now
             for task in tasks:
@@ -401,7 +282,7 @@ class LeaseLog:
             return None
 
     def heartbeat(self, now: Optional[float] = None) -> None:
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             self._append_locked(
                 {
@@ -424,7 +305,7 @@ class LeaseLog:
         was (in which case the fingerprints are asserted identical —
         at-least-once execution is only safe because the task is a
         pure function of its key)."""
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             existing = self._completes.get(task)
             if existing is not None:
@@ -460,7 +341,7 @@ class LeaseLog:
         """Give a lease back: voluntarily (``by`` defaults to this
         worker — the task raised) or on another's behalf (the parent
         releasing a dead child's leases, ``by="parent"``)."""
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             if task in self._completes:
                 return
@@ -484,7 +365,7 @@ class LeaseLog:
         previous run — or died mid-flight — is claimable again instead
         of being failed forever.  Returns how many were forgiven."""
         forgiven = 0
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             for task in tasks:
                 attempts = self._attempts.get(task, 0)
@@ -506,7 +387,7 @@ class LeaseLog:
 
     def holder(self, task: TaskKey, ttl: float, now: Optional[float] = None):
         """``(worker, attempt)`` of the live claim, or ``None``."""
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             claim = self._live_claim(
                 task, ttl, time.time() if now is None else now
@@ -517,7 +398,7 @@ class LeaseLog:
 
     def completed_payloads(self) -> Dict[TaskKey, dict]:
         """Payloads of every durably-won completion (first wins)."""
-        with self._mutex, _LeaseLock(self.path):
+        with self._mutex, self._log.lock():
             self._sync_locked()
             return {
                 task: record["payload"]
@@ -552,32 +433,19 @@ class LeaseWatcher:
     """Lock-free incremental reader for monitors (the parent
     scheduler's event loop, ``repro top --leases``).
 
-    Reads never take the flock — :func:`_scan_from` already tolerates
-    the one torn line a concurrent append can expose — so watching
-    never delays the workers."""
+    Reads never take the flock (a durable-log read skips the one torn
+    line a concurrent append can expose), so watching never delays the
+    workers."""
 
     def __init__(self, path: str, start_at_end: bool = False):
         self.path = path
-        self._offset = 0
+        self._log = _log(path)
         if start_at_end:
-            for _ in self.poll():
-                pass
+            self.poll()
 
     def poll(self) -> List[dict]:
         """Records appended since the last poll (checksum-verified)."""
-        records, offset = _scan_from(self.path, self._offset)
-        fresh: List[dict] = []
-        for record in records:
-            stored = record.get("sha256")
-            if stored is not None and stored != record_checksum(record):
-                raise LeaseCorruption(
-                    f"{self.path}: lease record fails its checksum"
-                )
-            fresh.append(record)
-        # Only advance past lines that parsed; a torn tail is re-read
-        # next poll once the writer (or the truncating appender) fixed it.
-        self._offset = offset
-        return fresh
+        return self._log.read()
 
 
 def lease_summary(
@@ -664,15 +532,10 @@ def lease_summary(
 def verify_lease_log(path: str) -> Tuple[List[str], dict]:
     """Structural + checksum audit of a lease log; returns ``(problems,
     summary)`` with an empty problem list meaning the log is sound."""
-    problems: List[str] = []
-    try:
-        records = load_lease_records(path)
-    except (LeaseCorruption, LeaseConsistencyError) as error:
-        return [str(error)], {}
-    if not records:
-        return ["empty lease log (missing header)"], {}
-    if records[0].get("type") != "lease_header":
-        problems.append("first record is not a lease_header")
+    lines, problems, _torn = audit(path, "lease", LEASE_VERSION)
+    if not lines:
+        return problems, {}
+    records = [record for _number, record, _sealed in lines]
     claims: Dict[Tuple[str, int], dict] = {}
     completes: Dict[str, dict] = {}
     for index, record in enumerate(records):

@@ -14,7 +14,7 @@ request identically, so the execution lives here as module functions:
   counters nobody scrapes.
 * :func:`worker_main` — the supervised worker body: one resident
   :func:`~repro.serve.session.process_session` per worker (warm state
-  survives across requests), its own shared-mode
+  survives across requests), its own
   :class:`~repro.serve.store.KnowledgeStore` handle (appends are
   flock-coordinated with every other worker), and the ambient fault
   plan the parent shipped for chaos testing (re-counted per process,
@@ -285,7 +285,7 @@ def worker_main(conn, store_path, base_config, fault_specs=()) -> None:
     session = process_session()
     store = None
     if store_path is not None:
-        store = KnowledgeStore(store_path, shared=True)
+        store = KnowledgeStore(store_path)
         session.store = store
     plan = (
         faults.FaultPlan.from_specs(list(fault_specs))

@@ -34,10 +34,10 @@ request never kills the daemon.
 ``max(1, workers)`` slot threads.  With ``workers > 0`` (the CLI
 default) each slot owns a :class:`~repro.robust.pool.SupervisedWorker`
 — a forked child running :func:`~repro.serve.dispatch.worker_main`
-with its own resident session and a flock-coordinated shared-mode
-store handle — so a crashed or hung solve fails only its own request
-(``worker_crashed`` / ``worker_timeout``, retryable) and the worker is
-respawned with exponential backoff.  ``workers=0`` keeps the original
+with its own resident session and its own store handle — so a crashed
+or hung solve fails only its own request (``worker_crashed`` /
+``worker_timeout``, retryable) and the worker is respawned with
+exponential backoff.  ``workers=0`` keeps the original
 in-process execution (one slot, the constructor default, which is what
 the in-process tests drive through :meth:`handle_request`).  The
 read-only ops — ``ping``, ``stats``, ``metrics`` — bypass the queue so
@@ -148,12 +148,8 @@ class AnalysisServer:
     ):
         self.socket_path = socket_path
         self.workers = max(0, workers)
-        # Pooled mode appends from worker processes, so the parent's
-        # handle must be flock-coordinated too; inline mode keeps the
-        # single-process appender path.
         self.store = (
-            KnowledgeStore(store_path, shared=self.workers > 0)
-            if store_path is not None else None
+            KnowledgeStore(store_path) if store_path is not None else None
         )
         self.session = AnalysisSession(store=self.store)
         self.config = config

@@ -1,12 +1,11 @@
 """The persistent cross-run knowledge store.
 
-One JSONL file, written fsync-per-record through the torn-tail-tolerant
-machinery shared with :mod:`repro.robust.checkpoint` (a SIGKILL
-mid-write loses at most the entry in flight, and the torn tail is
-truncated away before the next append).  Each entry is the complete
-knowledge of one finished search::
+One sealed durable log (:mod:`repro.robust.durablelog`;
+``docs/ROBUSTNESS.md``, "Durable logs"): a SIGKILL mid-write loses at
+most the entry in flight, and loading checks every entry's checksum.
+Each entry is the complete knowledge of one finished search::
 
-    {"type": "store_header", "version": 1}
+    {"type": "store_header", "version": 1, "sha256": hexdigest}
     {"type": "entry",
      "digest": sha256,                # program + client fingerprint
      "source": str | null,            # stable submission id (file path,
@@ -44,30 +43,27 @@ entry's first replay and is read decoded from then on, until the entry
 is forgotten, superseded or compacted away.  The file and every record
 in it stay JSON.
 
-**Shared mode** (``KnowledgeStore(path, shared=True)``) is what the
-daemon's supervised worker pool uses: several processes append to one
-file.  Every append takes an exclusive ``flock`` on ``path + ".lock"``,
-re-syncs against what other writers appended meanwhile, truncates any
-dead writer's torn tail, then writes and fsyncs its own record —
-single-writer-at-a-time, so warm-tier hits stay bit-identical across
-processes.  Lookups first :meth:`refresh` the in-memory index from the
-file's tail (an ``os.stat`` when nothing changed); an inode change
-means someone compacted the file, which triggers a full reload.
+Several processes may hold handles on one file (the daemon's
+supervised worker pool does): every append takes the log's ``flock``
+and first indexes what other writers appended meanwhile, so warm-tier
+hits stay bit-identical across processes.  Lookups first
+:meth:`~KnowledgeStore.refresh` the in-memory index from the file's
+tail (an ``os.stat`` when nothing changed); an inode change means
+someone compacted the file, which triggers a full reload.
 
-**Compaction** (:meth:`compact`, surfaced as ``repro store compact``)
-rewrites the latest-wins survivors — the newest entry per exact key
-and per ``(source, kind)`` seed key — to a temp file, fsyncs it *and*
-the directory, then atomically renames over the original.  A SIGKILL
-at any instant leaves either the complete old file or the complete new
-one, never a torn hybrid; the fault sites ``store.compact.write`` /
-``store.compact.rename`` / ``store.compact.done`` let the kill-matrix
-test pin the kill to each window.  :func:`verify_store` re-checks the
-version gate, record structure, and per-entry checksums offline.
+**Compaction** (:meth:`~KnowledgeStore.compact`, surfaced as ``repro
+store compact``) rewrites the latest-wins survivors — the newest entry
+per exact key and per ``(source, kind)`` seed key — with the durable
+log's atomic rewrite, so a SIGKILL at any instant leaves the complete
+old file or the complete new one; the fault sites
+``store.compact.write`` / ``store.compact.rename`` /
+``store.compact.done`` let the kill-matrix test pin the kill to each
+window.  :func:`verify_store` re-checks the version gate, record
+structure, and per-entry checksums offline.
 """
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import os
@@ -76,8 +72,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.lang.pretty import pretty_command, pretty_program
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs
-from repro.robust import faults
-from repro.robust.checkpoint import JsonlAppender, scan_jsonl
+from repro.robust.durablelog import DurableLog, audit
+from repro.robust.durablelog import record_checksum as entry_checksum
 from repro.robust.journal import RecordedRound
 
 __all__ = [
@@ -152,73 +148,17 @@ def config_key(config) -> Tuple:
     )
 
 
-def entry_checksum(entry: dict) -> str:
-    """Content checksum of one entry: SHA-256 over its canonical JSON
-    with the ``sha256`` field itself excluded.  ``verify`` recomputes
-    it to catch bit rot and hand-editing; entries recorded before the
-    field existed simply lack it and verify structurally only."""
-    body = {key: value for key, value in entry.items() if key != "sha256"}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
-class _StoreLock:
-    """Exclusive cross-process lock on ``path + ".lock"``.
-
-    A separate lock file — never the store itself — so compaction can
-    atomically replace the store file while holding the lock (locking
-    the data file would leave the lock attached to the dead inode)."""
-
-    def __init__(self, path: str):
-        self.path = path + ".lock"
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_StoreLock":
-        self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        fcntl.flock(self._fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        fcntl.flock(self._fd, fcntl.LOCK_UN)
-        os.close(self._fd)
-        self._fd = None
-        return False
-
-
-def _fsync_dir(path: str) -> None:
-    """Persist a rename: fsync the directory entry's parent."""
-    fd = os.open(path or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _header_line() -> str:
-    return (
-        json.dumps({"type": "store_header", "version": STORE_VERSION},
-                   sort_keys=True)
-        + "\n"
-    )
-
-
 class KnowledgeStore:
     """Crash-safe on-disk knowledge of every search a session ran.
 
-    Loading tolerates a torn trailing line (the crash the appender is
-    built for) but raises on interior corruption, exactly like the
-    checkpoint and journal layers it shares :func:`scan_jsonl` with.
-
-    ``shared=True`` switches appends to flock-coordinated writes and
-    lookups to tail-refreshing reads — the multi-process daemon mode
-    (see the module doc).  The default single-process mode keeps the
-    original :class:`~repro.robust.checkpoint.JsonlAppender` path.
+    Loading skips a torn trailing line and raises on any other damage,
+    a failed entry checksum included (the durable-log rule).  Any
+    number of handles, in any number of processes, may share one file.
     """
 
-    def __init__(self, path: str, shared: bool = False):
+    def __init__(self, path: str):
         self.path = path
-        self.shared = shared
+        self._log = DurableLog(path, "store", STORE_VERSION, sealed=True)
         #: Exact-match index: (digest, config, query ids) -> entry.
         self._exact: Dict[Tuple, dict] = {}
         #: Seed index: (source, client kind) -> latest entry.
@@ -226,7 +166,6 @@ class KnowledgeStore:
         #: ``id(entry) -> (entry, its recorded rounds)`` for the indexed
         #: entries a replay has read; see :meth:`recorded_rounds`.
         self._replays: Dict[int, Tuple[dict, List[RecordedRound]]] = {}
-        self.entries_loaded = 0
         #: Entry records physically in the file, superseded ones
         #: included — the compaction trigger's numerator comes from
         #: comparing this against the live index size.
@@ -234,19 +173,8 @@ class KnowledgeStore:
         self.compactions = 0
         self.hits = 0
         self.misses = 0
-        self._offset = 0  # byte offset just past the last indexed line
         self._ino: Optional[int] = None
-        self._appender: Optional[JsonlAppender] = None
-        if shared:
-            with _StoreLock(path):
-                self._load_locked()
-        else:
-            self._load_locked()
-            self._appender = JsonlAppender(path)
-            if self._appender.fresh:
-                self._appender.append(
-                    {"type": "store_header", "version": STORE_VERSION}
-                )
+        self._load()
         self.entries_loaded = self.file_entries
         obs_metrics.register_cache("knowledge_store", self)
 
@@ -264,101 +192,55 @@ class KnowledgeStore:
         the daemon's periodic-compaction trigger."""
         if not self.file_entries:
             return 0.0
-        live = len(self._live_file_keys())
-        return max(0, self.file_entries - live) / self.file_entries
-
-    def _live_file_keys(self) -> set:
         # Live = latest for an exact key (forgotten entries still
         # occupy their file slot, so count by index key, not identity).
-        return set(self._all_exact_keys)
+        live = len(self._all_exact_keys)
+        return max(0, self.file_entries - live) / self.file_entries
 
     # -- loading and cross-process refresh --------------------------------
 
-    def _reset_index(self) -> None:
-        self._exact.clear()
-        self._by_source.clear()
-        self._replays.clear()
-        self._all_exact_keys: set = set()
-        self.file_entries = 0
-
-    def _load_locked(self) -> None:
-        """(Re)build the index from the whole file.  Under the lock in
-        shared mode; single-process mode has no writers to race."""
-        self._reset_index()
-        records, intact = scan_jsonl(self.path)
-        for record in records:
-            self._ingest(record)
-        self._offset = intact
-        if self.shared:
-            # Create-or-repair under the lock: write the header into a
-            # fresh file, truncate a dead writer's torn tail away.
-            size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-            if not records and size == 0:
-                with open(self.path, "a") as handle:
-                    handle.write(_header_line())
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                self._offset = len(_header_line())
-            elif size > intact:
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(intact)
-        self._ino = os.stat(self.path).st_ino if os.path.exists(self.path) else None
+    def _load(self) -> List[dict]:
+        """(Re)build the index from the whole file, under the lock;
+        returns the file's records."""
+        with self._log.lock():
+            self._exact.clear()
+            self._by_source.clear()
+            self._replays.clear()
+            self._all_exact_keys: set = set()
+            self.file_entries = 0
+            self._log.offset = 0
+            records = self._log.open()
+            for record in records:
+                self._ingest(record)
+            self._ino = os.stat(self.path).st_ino
+        return records
 
     def _ingest(self, record: dict) -> None:
-        rtype = record.get("type")
-        if rtype == "store_header":
-            version = record.get("version")
-            if version != STORE_VERSION:
-                raise ValueError(
-                    f"{self.path}: unsupported store version {version!r}"
-                )
-        elif rtype == "entry":
+        if record.get("type") == "entry":
             self._index(record)
             self.file_entries += 1
-        # unknown record types are forward-compatible noise
+        # headers and unknown record types carry no knowledge
 
     def refresh(self) -> int:
-        """Shared mode: fold in entries other processes appended since
-        the last look; returns how many new records were indexed.  An
-        inode change (the file was compacted) or a shrink triggers a
-        full reload.  No-op in single-process mode."""
-        if not self.shared:
-            return 0
+        """Fold in entries other handles appended since the last look;
+        returns how many entries were added.  A missing file, an inode
+        change (the file was compacted) or a shrink triggers a full
+        reload."""
         try:
             stat = os.stat(self.path)
         except FileNotFoundError:
-            return 0
-        if stat.st_ino != self._ino or stat.st_size < self._offset:
-            before = self.file_entries
-            with _StoreLock(self.path):
-                self._load_locked()
-            return max(0, self.file_entries - before)
-        if stat.st_size == self._offset:
-            return 0
-        return self._scan_tail()
-
-    def _scan_tail(self) -> int:
-        """Index complete lines appended past ``_offset``.  A trailing
-        line without its newline (or mid-fsync garbage) is left alone —
-        either its writer is about to finish it, or the next locked
-        append will truncate it."""
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            data = handle.read()
-        added = 0
-        for line in data.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                record = json.loads(line)
-            except ValueError:
-                break
-            if not isinstance(record, dict):
-                break
-            self._offset += len(line)
-            self._ingest(record)
-            added += 1
-        return added
+            stat = None
+        before = self.file_entries
+        if (
+            stat is None
+            or stat.st_ino != self._ino
+            or stat.st_size < self._log.offset
+        ):
+            self._load()
+        elif stat.st_size > self._log.offset:
+            for record in self._log.read():
+                self._ingest(record)
+        return max(0, self.file_entries - before)
 
     # -- lookups -----------------------------------------------------------
 
@@ -369,10 +251,15 @@ class KnowledgeStore:
             self._replays.pop(id(superseded), None)
         self._exact[key] = entry
         self._all_exact_keys.add(key)
+        seed = self._seed_key(entry)
+        if seed is not None:
+            self._by_source[seed] = entry
+
+    @staticmethod
+    def _seed_key(entry: dict) -> Optional[Tuple[str, str]]:
         source = entry.get("source")
         kind = (entry.get("client") or {}).get("kind")
-        if source and kind:
-            self._by_source[(source, kind)] = entry
+        return (source, kind) if source and kind else None
 
     @staticmethod
     def _exact_key(digest, config, query_ids) -> Tuple:
@@ -475,45 +362,12 @@ class KnowledgeStore:
             "results": dict(results),
             "witnesses": dict(witnesses),
         }
-        entry["sha256"] = entry_checksum(entry)
-        if self.shared:
-            self._append_shared(entry)
-        else:
-            self._appender.append(entry)
-            self._index(entry)
-            self.file_entries += 1
+        with self._log.lock():
+            self.refresh()
+            entry = self._log.append(entry)
+        self._index(entry)
+        self.file_entries += 1
         return entry
-
-    def _append_shared(self, entry: dict) -> None:
-        """One locked append: sync against other writers, repair any
-        torn tail, write+fsync, advance the local index."""
-        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
-        with _StoreLock(self.path):
-            try:
-                stat = os.stat(self.path)
-            except FileNotFoundError:
-                stat = None
-            if (
-                stat is None
-                or stat.st_ino != self._ino
-                or stat.st_size < self._offset
-            ):
-                self._load_locked()
-            else:
-                self._scan_tail()
-                if self._offset < stat.st_size:
-                    # Whatever sits past the last intact line is a dead
-                    # writer's torn tail (live writers finish their
-                    # line before releasing the lock).
-                    with open(self.path, "r+b") as handle:
-                        handle.truncate(self._offset)
-            with open(self.path, "ab") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._offset += len(line)
-            self._index(entry)
-            self.file_entries += 1
 
     def forget(self, entry: dict) -> None:
         """Drop a stale entry from the in-memory index (it stays in the
@@ -523,10 +377,9 @@ class KnowledgeStore:
         key = self._entry_key(entry)
         if self._exact.get(key) is entry:
             del self._exact[key]
-        source = entry.get("source")
-        kind = (entry.get("client") or {}).get("kind")
-        if source and kind and self._by_source.get((source, kind)) is entry:
-            del self._by_source[(source, kind)]
+        seed = self._seed_key(entry)
+        if seed is not None and self._by_source.get(seed) is entry:
+            del self._by_source[seed]
 
     # -- compaction --------------------------------------------------------
 
@@ -535,49 +388,20 @@ class KnowledgeStore:
         ``{"entries_before", "entries_after", "dropped", "bytes_before",
         "bytes_after"}``.
 
-        Crash-safe by construction: survivors go to ``path.compact.tmp``
-        first, the temp file is fsync'd, then atomically renamed over
-        the store (and the directory fsync'd).  A SIGKILL anywhere in
-        between leaves the complete old file or the complete new one.
-        Runs under the store lock, so live shared-mode writers simply
-        wait; their next lookup notices the new inode and reloads."""
-        with _StoreLock(self.path):
-            records, _intact = scan_jsonl(self.path)
-            entries = [r for r in records if r.get("type") == "entry"]
-            for record in records:
-                if record.get("type") == "store_header":
-                    version = record.get("version")
-                    if version != STORE_VERSION:
-                        raise ValueError(
-                            f"{self.path}: unsupported store version "
-                            f"{version!r}"
-                        )
-            bytes_before = (
-                os.path.getsize(self.path) if os.path.exists(self.path) else 0
-            )
-            last_exact: Dict[Tuple, int] = {}
-            last_seed: Dict[Tuple[str, str], int] = {}
-            for position, entry in enumerate(entries):
-                last_exact[self._entry_key(entry)] = position
-                source = entry.get("source")
-                kind = (entry.get("client") or {}).get("kind")
-                if source and kind:
-                    last_seed[(source, kind)] = position
-            keep = sorted(set(last_exact.values()) | set(last_seed.values()))
-            tmp = self.path + ".compact.tmp"
-            with open(tmp, "w") as handle:
-                handle.write(_header_line())
-                faults.inject("store.compact.write")
-                for position in keep:
-                    entry = dict(entries[position])
-                    entry.setdefault("sha256", entry_checksum(entry))
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            faults.inject("store.compact.rename")
-            os.replace(tmp, self.path)
-            _fsync_dir(os.path.dirname(os.path.abspath(self.path)))
-            faults.inject("store.compact.done")
+        The rewrite is the durable log's atomic one, so a SIGKILL at any
+        instant leaves the complete old file or the complete new one.
+        Runs under the store lock, so other writers simply wait; their
+        next lookup notices the new inode and reloads."""
+        with self._log.lock():
+            entries = [r for r in self._load() if r.get("type") == "entry"]
+            keep = [
+                entry
+                for entry in entries
+                if self._exact.get(self._entry_key(entry)) is entry
+                or self._by_source.get(self._seed_key(entry)) is entry
+            ]
+            bytes_before = os.path.getsize(self.path)
+            self._log.rewrite(keep)
             stats = {
                 "entries_before": len(entries),
                 "entries_after": len(keep),
@@ -585,14 +409,7 @@ class KnowledgeStore:
                 "bytes_before": bytes_before,
                 "bytes_after": os.path.getsize(self.path),
             }
-            if self.shared:
-                self._load_locked()
-        if not self.shared:
-            # The appender's handle points at the replaced inode;
-            # reopen on the new file and rebuild the index from it.
-            self._appender.close()
-            self._load_locked()
-            self._appender = JsonlAppender(self.path)
+            self._load()
         self.compactions += 1
         if obs.active():
             obs.event("store_compacted", **stats)
@@ -614,8 +431,7 @@ class KnowledgeStore:
         }
 
     def close(self) -> None:
-        if self._appender is not None:
-            self._appender.close()
+        """Nothing to release: every append opens its own handle."""
 
     def __enter__(self) -> "KnowledgeStore":
         return self
@@ -628,97 +444,40 @@ class KnowledgeStore:
 def verify_store(path: str) -> Tuple[List[str], dict]:
     """Offline integrity check behind ``repro store verify``.
 
-    Returns ``(problems, summary)``.  Problems: a missing or
-    unsupported header, interior (non-trailing) corruption, entries
-    missing required fields, and entries whose recorded ``sha256``
-    no longer matches their content.  A torn trailing line and
-    entries recorded before checksums existed are *noted* in the
-    summary, not problems — both are expected in healthy stores."""
-    problems: List[str] = []
+    Returns ``(problems, summary)``.  Problems: everything the durable
+    log's audit finds (a missing file, an unsupported or missing header,
+    interior corruption, a checksum mismatch) and entries missing
+    required fields.  A torn trailing line and entries recorded before
+    checksums existed are *noted* in the summary, not problems — both
+    are expected in healthy stores."""
+    records, problems, torn = audit(path, "store", STORE_VERSION)
     summary = {
         "path": path,
-        "bytes": 0,
-        "records": 0,
+        "bytes": os.path.getsize(path) if os.path.exists(path) else 0,
+        "records": len(records),
         "entries": 0,
         "checksummed": 0,
         "legacy_entries": 0,
-        "torn_tail": False,
+        "torn_tail": torn,
     }
-    if not os.path.exists(path):
-        problems.append(f"{path}: no such file")
-        return problems, summary
-    with open(path, "rb") as handle:
-        data = handle.read()
-    summary["bytes"] = len(data)
-    lines = data.splitlines(keepends=True)
-    saw_header = False
-    for index, line in enumerate(lines):
-        is_last = index == len(lines) - 1
-        if not line.endswith(b"\n"):
-            if is_last:
-                summary["torn_tail"] = True
-                break
-            problems.append(f"line {index + 1}: unterminated interior line")
-            break
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
+    for number, record, sealed in records:
+        if record.get("type") != "entry":
             continue
-        record = None
-        try:
-            parsed = json.loads(text)
-            if isinstance(parsed, dict):
-                record = parsed
-        except ValueError:
-            record = None
-        if record is None:
-            if is_last:
-                summary["torn_tail"] = True
-                break
-            problems.append(
-                f"line {index + 1}: corrupt interior record "
-                "(not a trailing crash artifact)"
-            )
-            continue
-        summary["records"] += 1
-        rtype = record.get("type")
-        if summary["records"] == 1:
-            if rtype != "store_header":
-                problems.append("line 1: first record is not a store_header")
-            elif record.get("version") != STORE_VERSION:
+        summary["entries"] += 1
+        digest = record.get("digest")
+        if not (isinstance(digest, str) and len(digest) == 64):
+            problems.append(f"line {number}: entry without a sha256 digest key")
+        for field, kind in (
+            ("queries", list), ("rounds", list),
+            ("results", dict), ("config", list),
+        ):
+            if not isinstance(record.get(field), kind):
                 problems.append(
-                    f"line 1: unsupported store version "
-                    f"{record.get('version')!r}"
+                    f"line {number}: entry field {field!r} "
+                    f"is not a {kind.__name__}"
                 )
-            saw_header = True
-            continue
-        if rtype == "store_header":
-            problems.append(f"line {index + 1}: duplicate store_header")
-        elif rtype == "entry":
-            summary["entries"] += 1
-            digest = record.get("digest")
-            if not (isinstance(digest, str) and len(digest) == 64):
-                problems.append(
-                    f"line {index + 1}: entry without a sha256 digest key"
-                )
-            for field, kind in (
-                ("queries", list), ("rounds", list),
-                ("results", dict), ("config", list),
-            ):
-                if not isinstance(record.get(field), kind):
-                    problems.append(
-                        f"line {index + 1}: entry field {field!r} "
-                        f"is not a {kind.__name__}"
-                    )
-            recorded = record.get("sha256")
-            if recorded is None:
-                summary["legacy_entries"] += 1
-            elif recorded != entry_checksum(record):
-                problems.append(
-                    f"line {index + 1}: entry checksum mismatch "
-                    "(content altered after recording)"
-                )
-            else:
-                summary["checksummed"] += 1
-    if not saw_header and not summary["torn_tail"]:
-        problems.append(f"{path}: empty store (no header record)")
+        if sealed is None:
+            summary["legacy_entries"] += 1
+        elif sealed:
+            summary["checksummed"] += 1
     return problems, summary

@@ -58,7 +58,8 @@ class TestRoundTrip:
         other = ("tsp", "typestate", 3)
         with CheckpointWriter(path) as writer:
             writer.write_unit(other, PAYLOAD)
-        lines = [json.loads(l) for l in open(path) if l.strip()]
+        with open(path) as handle:
+            lines = [json.loads(l) for l in handle if l.strip()]
         assert [l["type"] for l in lines] == ["checkpoint_header", "unit", "unit"]
         assert set(load_checkpoint(path)) == {KEY, other}
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.robust import clausebus
 from repro.robust.clausebus import BUS_VERSION, ClauseBus, ClauseFeed, load_bus_records
+from repro.robust.durablelog import DurableLog
 from repro.robust.leases import (
     LeaseConsistencyError,
     LeaseCorruption,
@@ -281,6 +281,14 @@ class TestClauseBus:
         assert b.fetch("S", 2, ["q"]) == {"round": 2}
         assert b.fetch("T", 1, ["q"]) == {"round": 1}
 
+    def test_a_handle_finds_the_rounds_it_published(self, tmp_path):
+        bus = ClauseBus(str(tmp_path / "run.bus"), worker="w1")
+        # Having read to the end, the handle's append moves its read
+        # offset past the round it wrote, so it must index that round.
+        assert bus.fetch("s", 0, ["q"]) is None
+        assert bus.publish("s", 1, ["q"], {"round": 1})
+        assert bus.fetch("s", 1, ["q"]) == {"round": 1}
+
     def test_publish_parses_no_sibling_record(self, tmp_path, monkeypatch):
         path = str(tmp_path / "run.bus")
         a = ClauseBus(path, worker="a")
@@ -291,7 +299,7 @@ class TestClauseBus:
         def no_scan(*_args):
             raise AssertionError("the append path scanned the bus")
 
-        monkeypatch.setattr(clausebus, "_scan_from", no_scan)
+        monkeypatch.setattr(DurableLog, "read", no_scan)
         for round_index in range(20):
             assert a.publish("S", round_index, ["q"], {"round": round_index})
             assert b.publish("T", round_index, ["q"], {"round": round_index})

@@ -17,6 +17,7 @@ from repro.core.tracer import TracerConfig
 from repro.escape.client import EscapeQuery
 from repro.provenance.client import ProvenanceQuery
 from repro.robust.certify import CertificateStore, QueryEvidence
+from repro.robust.durablelog import LogCorruption
 from repro.robust.journal import SearchJournal
 from repro.serve.dispatch import solve_request
 from repro.serve.session import AnalysisSession, describe_client
@@ -439,14 +440,24 @@ def _tamper_recorded_abstraction(entry) -> bool:
     return False
 
 
+def _zero_annotation_digest(entry) -> bool:
+    """Set one recorded annotation digest to 64 zeros: an edit no
+    replay check can see, since a replay re-runs no fixpoint."""
+    for result in entry["results"].values():
+        if result.get("annotation_digest"):
+            result["annotation_digest"] = "0" * 64
+            return True
+    return False
+
+
 class TestTamperAfterWarm:
     """A tampered entry is caught by the per-round checks even when a
     good replay of the same entry has already filled every memo.
 
     After its first replay an entry's rounds are read decoded, so the
     decoded rounds are what a later read checks, and what these tests
-    tamper with; an edit of the file is caught when a fresh handle
-    loads it."""
+    tamper with; an edit of the file fails the entry's checksum when a
+    fresh handle loads it."""
 
     NAME, ANALYSIS = "tsp", "escape"
 
@@ -493,7 +504,9 @@ class TestTamperAfterWarm:
             assert store.recorded_rounds(entry) is not rounds
             assert self._solve(session) == [("replay", oracle)]
 
-    def test_file_edit_is_caught_by_a_fresh_handle(self, tmp_path):
+    def _edited_store(self, tmp_path, edit) -> str:
+        """A store holding one replayable entry, then edited on disk
+        with its recorded checksum kept."""
         ((_mode, oracle),) = self._solve(AnalysisSession())
         path = str(tmp_path / "store.jsonl")
         with KnowledgeStore(path) as store:
@@ -503,15 +516,22 @@ class TestTamperAfterWarm:
         with open(path) as handle:
             header, line = handle.read().splitlines()
         entry = json.loads(line)
-        assert _tamper_recorded_abstraction(entry)
+        assert edit(entry)
         with open(path, "w") as handle:
             handle.write(header + "\n" + json.dumps(entry) + "\n")
+        return path
+
+    def test_file_edit_is_caught_by_a_fresh_handle(self, tmp_path):
+        path = self._edited_store(tmp_path, _tamper_recorded_abstraction)
         problems, _summary = store_mod.verify_store(path)
         assert any("checksum mismatch" in p for p in problems)
-        with KnowledgeStore(path) as store:
-            session = AnalysisSession(store=store)
-            assert self._solve(session) == [("stale", oracle)]
-            assert self._solve(session) == [("replay", oracle)]
+        with pytest.raises(LogCorruption, match="fails its checksum"):
+            KnowledgeStore(path)
+
+    def test_zeroed_annotation_digest_is_caught_on_load(self, tmp_path):
+        path = self._edited_store(tmp_path, _zero_annotation_digest)
+        with pytest.raises(LogCorruption, match="fails its checksum"):
+            KnowledgeStore(path)
 
 
 class TestReplayReadCost:

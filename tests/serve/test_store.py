@@ -186,8 +186,8 @@ class TestRecordedRounds:
     """An indexed entry keeps its rounds' replay forms, and drops them
     when it is forgotten, superseded or compacted away."""
 
-    def _store(self, tmp_path, shared=False):
-        store = KnowledgeStore(str(tmp_path / "store.jsonl"), shared=shared)
+    def _store(self, tmp_path):
+        store = KnowledgeStore(str(tmp_path / "store.jsonl"))
         entry = store.record(**_entry_args("a" * 64))
         return store, entry
 
@@ -216,10 +216,15 @@ class TestRecordedRounds:
             assert store._replays == {}
             assert store.recorded_rounds(newer) is store.recorded_rounds(newer)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_compaction_drops_them(self, tmp_path, shared):
-        store, entry = self._store(tmp_path, shared=shared)
+    @pytest.mark.parametrize("other_writer", [False, True])
+    def test_compaction_drops_them(self, tmp_path, other_writer):
+        store, entry = self._store(tmp_path)
+        if other_writer:
+            # Another handle on the same file appends before the compaction.
+            with KnowledgeStore(store.path) as other:
+                other.record(**_entry_args("b" * 64, source="cli:other.rp"))
         with store:
             store.recorded_rounds(entry)
             store.compact()
             assert store._replays == {}
+            assert len(store) == (2 if other_writer else 1)

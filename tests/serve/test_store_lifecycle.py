@@ -1,6 +1,7 @@
 """Store hardening: crash-safe compaction (including a SIGKILL kill
-matrix over the compaction windows), offline verification, shared-mode
-cross-process coordination, and checksum integrity."""
+matrix over the compaction windows), offline verification,
+cross-process coordination of handles on one file, and checksum
+integrity."""
 
 import json
 import multiprocessing
@@ -117,7 +118,7 @@ def _compact_and_die(path, site):
     """Child process body: SIGKILL itself at the given compaction
     window (the 'kill' fault action)."""
     plan = faults.FaultPlan.from_specs([f"{site}:kill"])
-    store = KnowledgeStore(path, shared=True)
+    store = KnowledgeStore(path)
     with faults.fault_scope(plan):
         store.compact()
     os._exit(1)  # pragma: no cover - the kill must have fired
@@ -247,7 +248,7 @@ class TestVerify:
 
 
 def _record_in_child(path, digest, source):
-    store = KnowledgeStore(path, shared=True)
+    store = KnowledgeStore(path)
     store.record(**_args(digest, source=source))
     store.close()
     os._exit(0)
@@ -256,8 +257,8 @@ def _record_in_child(path, digest, source):
 class TestSharedMode:
     def test_two_handles_interleave_and_refresh(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        a = KnowledgeStore(path, shared=True)
-        b = KnowledgeStore(path, shared=True)
+        a = KnowledgeStore(path)
+        b = KnowledgeStore(path)
         a.record(**_args(_digest("a"), source="cli:a.rp"))
         b.record(**_args(_digest("b"), source="cli:b.rp"))
         # Each handle sees the other's append via tail refresh.
@@ -270,7 +271,7 @@ class TestSharedMode:
 
     def test_cross_process_append_is_seen(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        parent = KnowledgeStore(path, shared=True)
+        parent = KnowledgeStore(path)
         ctx = multiprocessing.get_context("fork")
         child = ctx.Process(
             target=_record_in_child, args=(path, _digest("c"), "cli:c.rp")
@@ -284,7 +285,7 @@ class TestSharedMode:
 
     def test_torn_tail_truncated_before_shared_append(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = KnowledgeStore(path, shared=True)
+        store = KnowledgeStore(path)
         store.record(**_args(_digest("a")))
         with open(path, "ab") as handle:
             handle.write(b'{"type": "entry", "half')
@@ -295,10 +296,34 @@ class TestSharedMode:
         assert summary["torn_tail"] is False
         assert summary["entries"] == 2
 
+    def test_append_after_a_damaged_line_raises_and_keeps_the_file(
+        self, tmp_path
+    ):
+        # a read the store before b appended two entries; the first of
+        # them is then damaged.  a's next append reads on from where it
+        # stopped, meets the damaged line before b's intact one, and
+        # must raise rather than cut both as a torn tail.
+        path = str(tmp_path / "store.jsonl")
+        a = KnowledgeStore(path)
+        b = KnowledgeStore(path)
+        b.record(**_args(_digest("b"), source="cli:b.rp"))
+        b.record(**_args(_digest("c"), source="cli:c.rp"))
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        lines[1] = b"garbage\n"
+        with open(path, "wb") as handle:
+            handle.writelines(lines)
+        with pytest.raises(ValueError, match="corrupt record"):
+            a.record(**_args(_digest("a"), source="cli:a.rp"))
+        with open(path, "rb") as handle:
+            assert handle.read() == b"".join(lines)
+        problems, _summary = verify_store(path)
+        assert any("corrupt interior" in p for p in problems)
+
     def test_compaction_under_other_handle_triggers_reload(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        a = KnowledgeStore(path, shared=True)
-        b = KnowledgeStore(path, shared=True)
+        a = KnowledgeStore(path)
+        b = KnowledgeStore(path)
         for _ in range(3):
             a.record(**_args(_digest("a")))
         assert b.lookup(
