@@ -1,10 +1,10 @@
 """Parallel harness benchmark — speedup and determinism.
 
 Runs the 4 smallest benchmarks x both client analyses once serially
-and once on a 4-worker process pool, checks that every record (status,
-abstraction, iterations, forward runs) is identical, renders Figure 12
-and Table 2 from time-normalised records to prove byte-identical
-output, and reports the wall-clock ratio.  The speedup assertion only
+and once on 4 lease-scheduler worker processes, checks that every
+record (status, abstraction, iterations, forward runs) is identical,
+renders Figure 12 and Table 2 from time-normalised records to prove
+byte-identical output, and reports the wall-clock ratio.  The speedup assertion only
 applies on multi-core runners — a single-core machine still checks
 determinism and records the (expected ~1x or worse) ratio.
 """

@@ -240,18 +240,10 @@ SMOKE_ANALYSES = ("typestate", "escape")
 
 def smoke_evaluation():
     """Serial and 2-worker evaluation of the smoke benchmarks; returns
-    timings plus forward-run cache-hit rates and pool-reuse counters.
-
-    The 2-worker evaluation is run twice: the first (cold) pass pays
-    the one-time worker spawn, the second (warm) pass reuses the
-    process-wide shared pool — the steady state of any caller doing
-    more than one evaluation per process, and the number the
-    ``parallel ≤ serial`` regression gate watches.  Both are recorded.
-    """
+    timings plus forward-run cache-hit rates."""
     from repro.bench.harness import prepare
     from repro.bench.parallel import evaluate_many
     from repro.core.tracer import TracerConfig
-    from repro.robust.pool import pool_stats
 
     config = TracerConfig(k=5, max_iterations=30)
     instances = {name: prepare(name) for name in SMOKE_BENCHMARKS}
@@ -260,19 +252,9 @@ def smoke_evaluation():
     serial = evaluate_many(instances, SMOKE_ANALYSES, config, jobs=1)
     serial_seconds = time.perf_counter() - started
 
-    stats_before = pool_stats()
-    started = time.perf_counter()
-    evaluate_many(instances, SMOKE_ANALYSES, config, jobs=2)
-    cold_seconds = time.perf_counter() - started
-
     started = time.perf_counter()
     parallel = evaluate_many(instances, SMOKE_ANALYSES, config, jobs=2)
     parallel_seconds = time.perf_counter() - started
-    stats_after = pool_stats()
-    pool_delta = {
-        key: stats_after[key] - stats_before.get(key, 0)
-        for key in stats_after
-    }
 
     per_workload = {}
     for name in SMOKE_BENCHMARKS:
@@ -297,23 +279,19 @@ def smoke_evaluation():
         "analyses": list(SMOKE_ANALYSES),
         "serial_seconds": round(serial_seconds, 4),
         "parallel_seconds_jobs2": round(parallel_seconds, 4),
-        "parallel_seconds_jobs2_cold": round(cold_seconds, 4),
-        "pool": pool_delta,
         "workloads": per_workload,
     }
 
 
 def scheduler_bench():
-    """Wave pool vs lease scheduler on the smoke workloads, plus a
-    faulted lease run (docs/ROBUSTNESS.md, "Leases and work stealing").
+    """The lease scheduler on the smoke workloads, clean and faulted
+    (docs/ROBUSTNESS.md, "Leases and work stealing").
 
-    Three 2-worker evaluations of the same workloads: the PR 4
-    lock-step wave pool, the lease-based work-stealing scheduler, and
-    the lease scheduler with one worker SIGKILLed on its first claim —
-    the last one records how many leases were stolen and recovered
-    through parent force-release/TTL expiry, and asserts the faulted
-    run's records still match the clean one.  ``bench_trend`` watches
-    the waves/leases wall-clock ratio for scheduler overhead creep.
+    Two 2-worker evaluations of the same workloads: a clean one, and
+    one with a worker SIGKILLed on its first claim — the second records
+    how many leases were stolen and recovered through parent
+    force-release/TTL expiry, and asserts the faulted run's records
+    still match the clean one.
     """
     from repro.bench.harness import prepare
     from repro.bench.parallel import (
@@ -335,17 +313,7 @@ def scheduler_bench():
         ]
 
     started = time.perf_counter()
-    waves = evaluate_many(
-        instances, SMOKE_ANALYSES, config, jobs=2,
-        options=RunOptions(scheduler="waves"),
-    )
-    waves_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    leases = evaluate_many(
-        instances, SMOKE_ANALYSES, config, jobs=2,
-        options=RunOptions(scheduler="leases"),
-    )
+    leases = evaluate_many(instances, SMOKE_ANALYSES, config, jobs=2)
     leases_seconds = time.perf_counter() - started
     clean_stats = last_scheduler_stats()
 
@@ -353,7 +321,6 @@ def scheduler_bench():
     faulted = evaluate_many(
         instances, SMOKE_ANALYSES, config, jobs=2,
         options=RunOptions(
-            scheduler="leases",
             heartbeat_interval=0.1,
             lease_ttl=1.0,
             worker_faults=(("scheduler.task:kill:at=1",), None),
@@ -365,11 +332,7 @@ def scheduler_bench():
     return {
         "benchmarks": list(SMOKE_BENCHMARKS),
         "analyses": list(SMOKE_ANALYSES),
-        "waves_seconds_jobs2": round(waves_seconds, 4),
         "leases_seconds_jobs2": round(leases_seconds, 4),
-        "leases_vs_waves": (
-            round(leases_seconds / waves_seconds, 4) if waves_seconds else 0.0
-        ),
         "clean": {
             "claims": clean_stats.get("claims"),
             "steals": clean_stats.get("steals"),
@@ -382,7 +345,6 @@ def scheduler_bench():
             "expiries": faulted_stats.get("expiries"),
             "respawns": faulted_stats.get("respawns"),
         },
-        "leases_match_waves": keys(leases) == keys(waves),
         "faulted_matches_clean": keys(faulted) == keys(leases),
     }
 

@@ -73,9 +73,7 @@ def history_entry(report: dict) -> dict:
     scheduler = report.get("scheduler", {})
     if scheduler:
         entry["scheduler"] = {
-            "waves_seconds_jobs2": scheduler.get("waves_seconds_jobs2"),
             "leases_seconds_jobs2": scheduler.get("leases_seconds_jobs2"),
-            "leases_vs_waves": scheduler.get("leases_vs_waves"),
             "faulted_steals": (scheduler.get("faulted") or {}).get("steals"),
             "faulted_expiries": (
                 (scheduler.get("faulted") or {}).get("expiries")

@@ -112,7 +112,6 @@ def run_chaos(instances, lease_path, clause_bus):
             CONFIG,
             jobs=3,
             options=RunOptions(
-                scheduler="leases",
                 group_size=GROUP_SIZE,
                 heartbeat_interval=0.1,
                 lease_ttl=1.0,
@@ -164,7 +163,6 @@ def main() -> int:
                 CONFIG,
                 jobs=1,
                 options=RunOptions(
-                    scheduler="leases",
                     group_size=GROUP_SIZE,
                     clause_bus=False,
                     certify=True,

@@ -7,8 +7,8 @@ Exercises the robustness layer end to end (see docs/ROBUSTNESS.md):
    and delay actions against a lenient solver, asserting every query
    still resolves to a valid status;
 2. a parallel evaluation in which a deterministic fault plan SIGKILLs
-   one worker mid-unit, asserting the crash-surviving pool respawns,
-   retries, and merges records identical to an un-faulted run.
+   one worker mid-unit, asserting the lease scheduler releases its
+   lease, retries, and merges records identical to an un-faulted run.
 
 Exit code 0 means every scenario held the contract.  Intended for the
 non-gating CI chaos job; runs in well under a minute locally:
@@ -25,7 +25,6 @@ from repro.core import Tracer, TracerConfig
 from repro.core.stats import QueryStatus
 from repro.lang import parse_program
 from repro.robust.faults import FaultPlan, FaultRule, fault_scope
-from repro.robust.pool import RetryPolicy
 from repro.typestate import TypestateClient, TypestateQuery, file_automaton
 
 PROGRAM = parse_program(
@@ -92,10 +91,7 @@ def kill_one_worker() -> int:
         "typestate",
         config,
         jobs=2,
-        options=RunOptions(
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.1),
-            fault_plan=plan,
-        ),
+        options=RunOptions(max_attempts=3, fault_plan=plan),
     )
     wall = time.perf_counter() - started
     key = lambda r: (r.query_id, r.status, r.abstraction, r.iterations)

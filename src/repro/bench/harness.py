@@ -355,10 +355,12 @@ def evaluate_benchmark(
     across worker processes (see :mod:`repro.bench.parallel`); results
     are merged deterministically, so statuses, abstractions, and
     iteration counts are identical to a serial run.  ``options`` (a
-    :class:`repro.bench.parallel.RunOptions`) configures the parallel
-    path's retry, timeout, checkpoint, and fault-injection behaviour.
+    :class:`repro.bench.parallel.RunOptions`) configures the scheduler's
+    retries, timeout, lease log, and fault injection; a run that keeps
+    a lease log, groups queries or sets a timeout goes through the
+    scheduler with one worker.
     """
-    if jobs > 1:
+    if jobs > 1 or (options is not None and options.scheduled(jobs)):
         from repro.bench.parallel import evaluate_benchmark_parallel
 
         return evaluate_benchmark_parallel(

@@ -3,7 +3,7 @@
 The evaluation decomposes naturally: every ``(benchmark, analysis,
 client)`` triple is an independent TRACER run (typestate clients track
 different allocation sites and share nothing; benchmarks are disjoint
-programs), so the harness can fan those units across a process pool
+programs), so the harness can fan those units across worker processes
 and merge the results deterministically — unit results are
 concatenated in the exact order the serial harness would have produced
 them, so statuses, abstractions, and iteration counts are
@@ -16,28 +16,28 @@ per process, and inherited for free on fork-based platforms via
 assigned unit.  Custom (non-suite) programs ride along as a pickled
 :class:`~repro.frontend.program.FrontProgram`.
 
-Scheduling is lease-based work stealing by default
+Scheduling is lease-based work stealing
 (:mod:`repro.robust.scheduler`): workers claim *tasks* — whole units,
 or sub-unit query groups when :attr:`RunOptions.group_size` is set —
 off a durable, flock-coordinated lease log, heartbeat while solving,
-and durably complete with first-completion-wins dedup; a SIGKILLed or
-hung worker's leases expire (or are force-released by the parent
-supervisor) and are reclaimed by siblings, and the clause bus
+and durably complete with first-completion-wins dedup; a SIGKILLed,
+hung or timed-out worker's leases expire (or are force-released by the
+parent supervisor) and are reclaimed by siblings, and the clause bus
 (:mod:`repro.robust.clausebus`) lets a reclaiming worker replay the
 dead worker's already-published CEGAR rounds — re-validated clause by
-clause — instead of re-running their forward fixpoints.  The PR 4
-lock-step wave pool (:mod:`repro.robust.pool`) remains available as
-``RunOptions(scheduler="waves")``; in both modes units that keep
-failing land in
+clause — instead of re-running their forward fixpoints.  Units that
+keep failing land in
 :attr:`~repro.bench.harness.EvalResult.failed_units` instead of
 raising.  Because units are pure functions of ``(benchmark, analysis,
 index, config)``, a retried unit reproduces its records bit-for-bit,
-so the merge stays deterministic across crashes.  Completed units can
-be checkpointed to JSONL (:class:`RunOptions.checkpoint_path`) and a
-later run resumed from them (:mod:`repro.robust.checkpoint`) — in
-lease mode, resumption additionally skips *query groups* that
-completed durably in the lease log even when their unit never
-finished.
+so the merge stays deterministic across crashes.
+
+The lease log is also the run's checkpoint
+(:attr:`RunOptions.lease_path`, the CLI's ``--checkpoint FILE``): each
+durable completion holds its group's records, metrics, events and
+certificates, so a resumed run (:attr:`RunOptions.resume`) takes every
+group that completed before a crash from the log and solves only the
+rest, even inside a unit that never finished.
 
 Entry points:
 
@@ -68,15 +68,9 @@ from repro.obs import trace as obs
 from repro.obs.events import merge_streams
 from repro.obs.sinks import MemorySink
 from repro.robust import faults as robust_faults
-from repro.robust.checkpoint import (
-    CheckpointWriter,
-    UnitKey,
-    load_checkpoint,
-)
 from repro.robust.clausebus import ClauseBus, ClauseFeed, ClauseFeedMismatch
 from repro.robust.faults import FaultPlan
 from repro.robust.leases import TaskKey, payload_fingerprint
-from repro.robust.pool import RetryPolicy, UnitOutcome, run_units
 from repro.robust.scheduler import SchedulerResult, run_leased
 
 #: The instance memos behind :func:`_seed_instance` / :func:`_instance`
@@ -85,43 +79,63 @@ from repro.robust.scheduler import SchedulerResult, run_leased
 #: inherited the former module-level dicts).
 
 
+UnitKey = Tuple[str, str, int]  # (benchmark, analysis, unit index)
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """Robustness knobs of one parallel evaluation."""
 
-    #: Retry/timeout policy of the crash-surviving pool.
-    retry: RetryPolicy = RetryPolicy()
-    #: JSONL file to append completed units to (``None`` = off).
-    checkpoint_path: Optional[str] = None
-    #: Load the checkpoint first and run only the missing units.
+    #: Claims per task before it is recorded as failed.
+    max_attempts: int = 3
+    #: Wall-clock allowance per task attempt (``None`` = unbounded):
+    #: the parent kills the worker whose claim is older, and the task
+    #: is retried.
+    unit_timeout: Optional[float] = None
+    #: Keep the lease log at :attr:`lease_path` and run only the tasks
+    #: it does not hold a completion for.
     resume: bool = False
     #: Deterministic fault plan shipped to every worker (tests, chaos).
     fault_plan: Optional[FaultPlan] = None
-    #: Emit (and checkpoint) per-query verdict certificates.
+    #: Emit per-query verdict certificates.
     certify: bool = False
-    #: Scheduling model: ``"leases"`` (the lease-based work-stealing
-    #: scheduler, the default) or ``"waves"`` (the PR 4 lock-step pool,
-    #: kept as a fallback).
-    scheduler: str = "leases"
-    #: Lease mode only: split each unit's queries into groups of at
-    #: most this many for sub-unit scheduling (``0`` = whole units).
-    #: Grouped runs decompose the Section 6 query groups differently,
-    #: so records match a serial run *of the same decomposition*, not
-    #: the whole-unit serial harness.
+    #: Split each unit's queries into groups of at most this many for
+    #: sub-unit scheduling (``0`` = whole units).  Grouped runs
+    #: decompose the Section 6 query groups differently, so records
+    #: match a serial run *of the same decomposition*, not the
+    #: whole-unit serial harness.
     group_size: int = 0
-    #: Lease mode: worker heartbeat period (seconds).
+    #: Worker heartbeat period (seconds).
     heartbeat_interval: float = 0.25
-    #: Lease mode: a lease whose worker has not heartbeat for this long
-    #: is expired and claimable by siblings.
+    #: A lease whose worker has not heartbeat for this long is expired
+    #: and claimable by siblings.
     lease_ttl: float = 5.0
-    #: Lease log location (default: ``checkpoint_path + ".leases"``, or
-    #: a throwaway temp file when not checkpointing).
+    #: The lease log, which is also the run's checkpoint (the CLI's
+    #: ``--checkpoint FILE``; the clause bus sits at ``lease_path +
+    #: ".bus"``).  ``None`` = a throwaway temp file.
     lease_path: Optional[str] = None
-    #: Lease mode: share learned rounds across workers through the
-    #: clause bus (see :mod:`repro.robust.clausebus`).
+    #: Share learned rounds across workers through the clause bus (see
+    #: :mod:`repro.robust.clausebus`).
     clause_bus: bool = True
-    #: Lease mode: extra fault-rule specs per worker index (chaos).
+    #: Extra fault-rule specs per worker index (chaos).
     worker_faults: Optional[Tuple[Optional[Tuple[str, ...]], ...]] = None
+
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+
+    def scheduled(self, jobs: int) -> bool:
+        """Whether a run on ``jobs`` workers goes through the lease
+        scheduler.  One worker does too when the run groups queries,
+        keeps a lease log or bounds a task's time, which the serial
+        harness would drop."""
+        return (
+            jobs > 1
+            or self.group_size > 0
+            or self.lease_path is not None
+            or self.resume
+            or self.unit_timeout is not None
+        )
 
 
 @dataclass(frozen=True)
@@ -137,23 +151,17 @@ class WorkUnit:
 
     @property
     def key(self) -> UnitKey:
-        """Run-independent identity (the checkpoint key): the seed
-        token deliberately does not participate."""
+        """Run-independent identity: the seed token deliberately does
+        not participate."""
         return (self.benchmark, self.analysis, self.index)
 
 
 def _seed_instance(bench: BenchmarkInstance) -> int:
     """Register ``bench`` in the process-wide session and return its
-    token.  Called in the parent *before* the pool forks, so workers
+    token.  Called in the parent *before* the workers fork, so workers
     start with the instance already in memory.  Fork-based platforms
     inherit the parent's seeded entries; spawn-based platforms fall
-    back to preparing from the unit description.  The session also
-    keeps a cross-token memo of *suite* benchmarks keyed by name alone:
-    the shared pool outlives a single evaluation, so a worker forked
-    during evaluation N serves units of evaluation N+1 whose token it
-    never saw seeded — suite programs are deterministic functions of
-    their name, so the instance synthesized under the old token is
-    still the right one."""
+    back to preparing from the unit description."""
     from repro.serve.session import process_session
 
     return process_session().seed(bench)
@@ -207,34 +215,23 @@ class _Family:
         return self.setups, {}
 
 
-def _run_unit(
-    unit: WorkUnit,
-    config: TracerConfig,
-    collect_events: bool = False,
-    certify: bool = False,
-) -> UnitResult:
-    """Worker entry point (wave pool): run one whole unit."""
-    return _run_group(unit, None, config, collect_events, certify)
-
-
 def _run_group(
     unit: WorkUnit,
     group: Optional[Tuple[int, int, int]],
     config: TracerConfig,
-    collect_events: bool = False,
-    certify: bool = False,
+    family: _Family,
+    collect_events: bool,
+    certify: bool,
     clause_feed=None,
-    family: Optional[_Family] = None,
 ) -> UnitResult:
     """Worker entry point: run one unit — or, when ``group`` is
     ``(lo, hi, group_index)``, the query slice ``[lo:hi]`` of it —
     under its family's metrics registry (and, when requested, an
     in-memory trace sink), returning its records in query order plus
     the snapshot of this call's cache traffic, the captured event
-    stream, and the stamped verdict certificates.  ``clause_feed``
-    plugs the solve into the cross-worker clause bus and ``family`` is
-    the worker's resident client family (lease mode); without one the
-    unit's family is built for this call alone."""
+    stream, and the stamped verdict certificates.  ``family`` is the
+    worker's resident client family and ``clause_feed`` plugs the solve
+    into the cross-worker clause bus."""
     bench = _instance(unit)
     # Fault sites for the chaos/retry machinery: a generic one and one
     # addressing this exact unit.  A "corrupt" rule damages the unit's
@@ -248,7 +245,6 @@ def _run_group(
         or corrupt
     )
     sink = MemorySink() if collect_events else None
-    family = family if family is not None else _Family()
     setups, since = family.enter(bench, unit)
     with obs_metrics.scoped_registry(family.registry) as registry:
         client, queries = setups[unit.index]
@@ -322,17 +318,6 @@ def _run_group(
     )
 
 
-def _execute_unit(task: Tuple, attempt: int) -> UnitResult:
-    """Pool-facing wrapper: installs the shipped fault plan (tagged
-    with the attempt number, so rules can target first attempts only)
-    around :func:`_run_unit`."""
-    unit, config, collect_events, certify, plan = task
-    if plan is None:
-        return _run_unit(unit, config, collect_events, certify)
-    with robust_faults.fault_scope(plan, attempt=attempt):
-        return _run_unit(unit, config, collect_events, certify)
-
-
 #: Counters of the most recent lease-scheduled run in this process
 #: (claims, steals, expiries, respawns, ...) — read by the bench suite
 #: and surfaced as scheduler gauges.
@@ -404,17 +389,14 @@ def _run_leased(
     query_ids: Dict[UnitKey, List[str]],
 ) -> Tuple[List[Optional[UnitResult]], List[str], bool]:
     """Run ``units`` on the lease-based work-stealing scheduler
-    (:func:`repro.robust.scheduler.run_leased`), honouring both layers
-    of durability: the classic unit-granularity checkpoint (written for
-    every finished unit, resumable by older tooling) and the lease log
-    at group granularity — on ``--resume``, groups that completed
-    durably before a crash are taken from the lease log even when their
-    unit never finished, so a unit that died 9/10 groups in re-solves
-    only the last group.
+    (:func:`repro.robust.scheduler.run_leased`).  On ``resume``, groups
+    that completed durably in the lease log are taken from it even when
+    their unit never finished, so a unit that died 9/10 groups in
+    re-solves only the last group.
 
     ``query_ids`` holds every unit's query ids (:func:`_pair_units`).
-    Same contract as :func:`_run_resilient`: ``(per-unit results in
-    unit order, failed unit descriptions, degraded flag)``.
+    Returns ``(per-unit results in unit order, failed unit
+    descriptions, degraded flag)``; a failed unit's result is ``None``.
     """
     import os as _os
     import shutil as _shutil
@@ -422,28 +404,16 @@ def _run_leased(
 
     from repro.robust.leases import LeaseConsistencyError
 
-    results: List[Optional[UnitResult]] = [None] * len(units)
-    resumed = 0
-    if options.resume and options.checkpoint_path:
-        completed = load_checkpoint(options.checkpoint_path)
-        for position, unit in enumerate(units):
-            payload = completed.get(unit.key)
-            if payload is not None:
-                records, metrics, _attempts, certificates = payload
-                results[position] = (records, metrics, [], certificates)
-                resumed += 1
-    pending = [i for i in range(len(units)) if results[i] is None]
     collect = obs.active()
 
-    # Decompose pending units into group tasks.
+    # Decompose units into group tasks.
     tasks: List[TaskKey] = []
     bounds_of: Dict[TaskKey, Optional[Tuple[int, int, int]]] = {}
     queries_of: Dict[TaskKey, List[str]] = {}
     position_of: Dict[TaskKey, int] = {}
     unit_tasks: Dict[int, List[TaskKey]] = {}
     size = max(0, options.group_size)
-    for position in pending:
-        unit = units[position]
+    for position, unit in enumerate(units):
         ids = query_ids[unit.key]
         count = len(ids)
         if size and count > size:
@@ -452,7 +422,7 @@ def _run_leased(
                 for gi, lo in enumerate(range(0, count, size))
             ]
         else:
-            groups = [None]  # whole unit — identical to the wave shape
+            groups = [None]  # the whole unit
         for gi, bounds in enumerate(groups):
             task: TaskKey = (unit.benchmark, unit.analysis, unit.index, gi)
             tasks.append(task)
@@ -464,8 +434,6 @@ def _run_leased(
             unit_tasks.setdefault(position, []).append(task)
 
     lease_path = options.lease_path
-    if lease_path is None and options.checkpoint_path:
-        lease_path = options.checkpoint_path + ".leases"
     cleanup: Optional[str] = None
     if lease_path is None:
         cleanup = _tempfile.mkdtemp(prefix="repro-leases-")
@@ -482,8 +450,7 @@ def _run_leased(
     family = _Family()
 
     def execute(task: TaskKey, attempt: int) -> Tuple[dict, str]:
-        position = position_of[task]
-        unit = units[position]
+        unit = units[position_of[task]]
         bounds = bounds_of[task]
         feed = None
         if use_bus:
@@ -499,7 +466,7 @@ def _run_leased(
             )
         try:
             result = _run_group(
-                unit, bounds, config, collect, options.certify, feed, family
+                unit, bounds, config, family, collect, options.certify, feed
             )
         except ClauseFeedMismatch:
             # A drained round failed re-validation: never trust the
@@ -511,7 +478,7 @@ def _run_leased(
                     task=":".join(str(p) for p in task),
                 )
             result = _run_group(
-                unit, bounds, config, collect, options.certify, None, family
+                unit, bounds, config, family, collect, options.certify
             )
         return _group_payload(task, queries_of[task], result)
 
@@ -528,7 +495,8 @@ def _run_leased(
             resume=options.resume,
             heartbeat_interval=options.heartbeat_interval,
             lease_ttl=options.lease_ttl,
-            max_attempts=options.retry.max_attempts,
+            max_attempts=options.max_attempts,
+            unit_timeout=options.unit_timeout,
             fault_plan=options.fault_plan,
             worker_faults=options.worker_faults,
         )
@@ -536,75 +504,56 @@ def _run_leased(
         if cleanup is not None:
             _shutil.rmtree(cleanup, ignore_errors=True)
 
+    results: List[Optional[UnitResult]] = [None] * len(units)
     failed: List[str] = []
-    writer = (
-        CheckpointWriter(options.checkpoint_path)
-        if options.checkpoint_path and pending
-        else None
-    )
-    try:
-        for position in pending:
-            unit = units[position]
-            errors = [
-                scheduled.failed[task]
-                for task in unit_tasks[position]
-                if task in scheduled.failed
-            ]
-            if errors:
-                failed.append(
-                    f"{unit.benchmark}:{unit.analysis}:{unit.index}: "
-                    f"{errors[0]}"
-                )
-                continue
-            unit_records: List[QueryRecord] = []
-            unit_metrics: Dict[str, CacheCounters] = {}
-            streams: List[List[dict]] = []
-            unit_certs: List[dict] = []
-            attempts = 1
-            for task in unit_tasks[position]:
-                payload = scheduled.payloads.get(task)
-                if payload is None:
-                    raise LeaseConsistencyError(
-                        f"task {task!r} neither completed nor failed"
-                    )
-                if payload.get("queries") != queries_of[task]:
-                    raise LeaseConsistencyError(
-                        f"lease log records queries "
-                        f"{payload.get('queries')!r} for task {task!r} but "
-                        f"this evaluation decomposes it as "
-                        f"{queries_of[task]!r} — the resumed log belongs to "
-                        f"a different run or group size"
-                    )
-                records, metrics, events, certificates = _payload_result(
-                    payload
-                )
-                unit_records.extend(records)
-                for name, counters in metrics.items():
-                    unit_metrics[name] = (
-                        unit_metrics.get(name, CacheCounters()) + counters
-                    )
-                if events:
-                    streams.append(events)
-                unit_certs.extend(certificates)
-                attempts = max(attempts, scheduled.attempts.get(task, 1))
-            if len(streams) > 1:
-                events = merge_streams(streams)
-            else:
-                events = streams[0] if streams else []
-            results[position] = (
-                unit_records, unit_metrics, events, unit_certs
+    for position, unit in enumerate(units):
+        errors = [
+            scheduled.failed[task]
+            for task in unit_tasks[position]
+            if task in scheduled.failed
+        ]
+        if errors:
+            failed.append(
+                f"{unit.benchmark}:{unit.analysis}:{unit.index}: "
+                f"{errors[0]}"
             )
-            if writer is not None:
-                writer.write_unit(
-                    unit.key,
-                    (unit_records, unit_metrics, attempts, unit_certs),
+            continue
+        unit_records: List[QueryRecord] = []
+        unit_metrics: Dict[str, CacheCounters] = {}
+        streams: List[List[dict]] = []
+        unit_certs: List[dict] = []
+        for task in unit_tasks[position]:
+            payload = scheduled.payloads.get(task)
+            if payload is None:
+                raise LeaseConsistencyError(
+                    f"task {task!r} neither completed nor failed"
                 )
-    finally:
-        if writer is not None:
-            writer.close()
+            if payload.get("queries") != queries_of[task]:
+                raise LeaseConsistencyError(
+                    f"lease log records queries "
+                    f"{payload.get('queries')!r} for task {task!r} but "
+                    f"this evaluation decomposes it as "
+                    f"{queries_of[task]!r} — the resumed log belongs to "
+                    f"a different run or group size"
+                )
+            records, metrics, events, certificates = _payload_result(
+                payload
+            )
+            unit_records.extend(records)
+            for name, counters in metrics.items():
+                unit_metrics[name] = (
+                    unit_metrics.get(name, CacheCounters()) + counters
+                )
+            if events:
+                streams.append(events)
+            unit_certs.extend(certificates)
+        if len(streams) > 1:
+            events = merge_streams(streams)
+        else:
+            events = streams[0] if streams else []
+        results[position] = (unit_records, unit_metrics, events, unit_certs)
 
     stats = dict(scheduled.stats)
-    stats["resumed_units"] = resumed
     stats["resumed_tasks"] = scheduled.resumed
     stats["failed_units"] = len(failed)
     global _LAST_SCHEDULER_STATS
@@ -627,7 +576,6 @@ def _run_leased(
     )
     degraded = (
         bool(failed)
-        or resumed > 0
         or scheduled.resumed > 0
         or scheduled.stats.get("steals", 0) > 0
         or retried
@@ -658,19 +606,6 @@ def _pair_units(
         units.append(unit)
         query_ids[unit.key] = [str(query) for query in queries]
     return units, query_ids
-
-
-def _run(
-    units: Sequence[WorkUnit],
-    config: TracerConfig,
-    options: RunOptions,
-    max_workers: int,
-    query_ids: Dict[UnitKey, List[str]],
-) -> Tuple[List[Optional[UnitResult]], List[str], bool]:
-    """Run ``units`` on the scheduler ``options`` names."""
-    if options.scheduler == "leases":
-        return _run_leased(units, config, options, max_workers, query_ids)
-    return _run_resilient(units, config, options, max_workers)
 
 
 def _merge(
@@ -742,78 +677,6 @@ def _emit_metrics(result: EvalResult) -> None:
         )
 
 
-def _run_resilient(
-    units: Sequence[WorkUnit],
-    config: TracerConfig,
-    options: RunOptions,
-    max_workers: int,
-) -> Tuple[List[Optional[UnitResult]], List[str], bool]:
-    """Run ``units`` on the crash-surviving pool, honouring the
-    checkpoint.  Returns ``(per-unit results in unit order, failed
-    unit descriptions, degraded flag)``.
-
-    Checkpointed units are merged as-is (their worker trace events are
-    gone — only fresh units replay spans); fresh completions are
-    appended to the checkpoint as they are merged, so an interrupted
-    run never loses finished work.
-    """
-    results: List[Optional[UnitResult]] = [None] * len(units)
-    resumed = 0
-    if options.resume and options.checkpoint_path:
-        completed = load_checkpoint(options.checkpoint_path)
-        for position, unit in enumerate(units):
-            payload = completed.get(unit.key)
-            if payload is not None:
-                records, metrics, _attempts, certificates = payload
-                results[position] = (records, metrics, [], certificates)
-                resumed += 1
-    pending = [i for i in range(len(units)) if results[i] is None]
-    collect = obs.active()
-    tasks = [
-        (units[i], config, collect, options.certify, options.fault_plan)
-        for i in pending
-    ]
-    outcomes: List[UnitOutcome] = []
-    if tasks:
-        outcomes = run_units(
-            _execute_unit,
-            tasks,
-            policy=options.retry,
-            max_workers=max_workers,
-        )
-    failed: List[str] = []
-    writer = (
-        CheckpointWriter(options.checkpoint_path)
-        if options.checkpoint_path
-        else None
-    )
-    try:
-        for outcome, position in zip(outcomes, pending):
-            unit = units[position]
-            if outcome.succeeded:
-                results[position] = outcome.result
-                if writer is not None:
-                    records, metrics, _events, certificates = outcome.result
-                    writer.write_unit(
-                        unit.key,
-                        (records, metrics, outcome.attempts, certificates),
-                    )
-            else:
-                failed.append(
-                    f"{unit.benchmark}:{unit.analysis}:{unit.index}: "
-                    f"{outcome.error}"
-                )
-    finally:
-        if writer is not None:
-            writer.close()
-    degraded = bool(failed) or resumed > 0 or any(
-        outcome.retried for outcome in outcomes
-    )
-    if failed and obs.active():
-        obs.event("degraded", reason="failed_units", units=failed)
-    return results, failed, degraded
-
-
 def evaluate_benchmark_parallel(
     bench: BenchmarkInstance,
     analysis: str,
@@ -827,25 +690,22 @@ def evaluate_benchmark_parallel(
     from repro.bench.harness import evaluate_benchmark
 
     options = options if options is not None else RunOptions()
+    if not options.scheduled(jobs):
+        return evaluate_benchmark(bench, analysis, config, options=options)
     units, query_ids = _pair_units(
         bench, bench.name, analysis, _seed_instance(bench)
     )
-    # The serial fast path would silently drop checkpointing and fault
-    # injection, so it only applies when no robustness option is set;
-    # a grouped run (group_size > 0) always goes through the scheduler
-    # so a 1-worker run is the exact oracle for the N-worker one.
-    robust = (
-        options.checkpoint_path is not None
-        or options.resume
-        or options.fault_plan is not None
-        or options.group_size > 0
-    )
-    if jobs <= 1 and options.group_size == 0:
-        return evaluate_benchmark(bench, analysis, config, options=options)
-    if jobs > 1 and len(units) <= 1 and not robust:
+    # A single unit leaves nothing to spread, so it runs serially —
+    # unless the run keeps a lease log, groups queries, bounds a task's
+    # time or injects faults, which only the scheduler honours.
+    if (
+        len(units) <= 1
+        and options.fault_plan is None
+        and not options.scheduled(1)
+    ):
         return evaluate_benchmark(bench, analysis, config, options=options)
     started = time.perf_counter()
-    unit_results, failed, degraded = _run(
+    unit_results, failed, degraded = _run_leased(
         units, config, options, max(1, min(jobs, len(units))), query_ids
     )
     _replay_into_parent(unit_results)
@@ -868,21 +728,21 @@ def evaluate_many(
     jobs: int = 1,
     options: Optional[RunOptions] = None,
 ) -> Dict[str, Dict[str, EvalResult]]:
-    """Evaluate ``analyses`` over every benchmark in ``instances`` with
-    one shared worker pool.
+    """Evaluate ``analyses`` over every benchmark in ``instances`` on
+    one lease scheduler run.
 
     All units of all ``(benchmark, analysis)`` pairs are fanned out
     together, so a long escape run on one benchmark overlaps the many
     small typestate units of another.  The result mapping (and every
     record list in it) is ordered exactly as the serial nested loops
     would produce it — including across worker crashes, retries, and
-    checkpoint resumption.
+    resumption from the lease log.
     """
     options = options if options is not None else RunOptions()
     pairs = [
         (name, analysis) for name in instances for analysis in analyses
     ]
-    if jobs <= 1 and options.group_size == 0:
+    if not options.scheduled(jobs):
         from repro.bench.harness import evaluate_benchmark
 
         return_serial: Dict[str, Dict[str, EvalResult]] = {}
@@ -906,7 +766,7 @@ def evaluate_many(
         spans[(name, analysis)] = (len(flat), len(flat) + len(units))
         flat.extend(units)
         query_ids.update(ids)
-    flat_results, failed, degraded = _run(
+    flat_results, failed, degraded = _run_leased(
         flat, config, options, max(1, jobs), query_ids
     )
     wall = time.perf_counter() - started

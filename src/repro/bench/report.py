@@ -41,13 +41,16 @@ def full_report(
     """Run the evaluation on ``names`` and emit the report.
 
     With ``jobs > 1`` every independent workload of the evaluation (per
-    benchmark, per analysis, per client) runs on a process pool; the
-    rendered tables and figures are identical to a serial run because
-    results merge deterministically (only wall-clock timings differ).
-    ``options`` (a :class:`repro.bench.parallel.RunOptions`) configures
-    that pool's retry, timeout, checkpoint/resume, and fault-injection
-    behaviour; ``config`` overrides the solver configuration wholesale
-    (``k``/``max_iterations`` are ignored when it is given).
+    benchmark, per analysis, per client) runs on the lease scheduler's
+    worker processes; the rendered tables and figures are identical to
+    a serial run because results merge deterministically (only
+    wall-clock timings differ).  ``options`` (a
+    :class:`repro.bench.parallel.RunOptions`) configures the
+    scheduler's retries, timeout, lease log/resume, and fault
+    injection, and a run that keeps a lease log goes through the
+    scheduler with one worker; ``config`` overrides the solver
+    configuration wholesale (``k``/``max_iterations`` are ignored when
+    it is given).
 
     Returns the raw per-benchmark evaluation results keyed by analysis
     so callers can post-process them.
@@ -63,7 +66,7 @@ def full_report(
 
     results: Dict[str, Dict[str, object]] = {}
     aggregates = {}
-    if jobs > 1:
+    if jobs > 1 or (options is not None and options.scheduled(jobs)):
         from repro.bench.parallel import evaluate_many
 
         started = time.perf_counter()

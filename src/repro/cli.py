@@ -39,9 +39,10 @@ overruns as UNRESOLVED), ``--lenient`` (contain client errors),
 ``--inject`` (deterministic fault injection), ``--journal`` /
 ``--resume-journal`` (crash-recoverable CEGAR journal), and
 ``--certify-out`` (emit independently checkable verdict certificates);
-``eval`` adds ``--retries`` / ``--unit-timeout`` (crash-surviving
-worker pool), ``--checkpoint`` / ``--resume`` (JSONL checkpoint of
-completed units), and ``--certify-out``.
+``eval`` adds ``--retries`` / ``--unit-timeout`` (bounded retries and
+per-task timeouts on the lease scheduler), ``--checkpoint`` /
+``--resume`` (keep the lease log and resume from its completed query
+groups), and ``--certify-out``.
 
 Exit codes are meaningful so scripts can branch on the verdict:
 
@@ -56,6 +57,7 @@ Exit codes are meaningful so scripts can branch on the verdict:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -457,33 +459,32 @@ def _cmd_eval(args) -> int:
     from repro.bench.report import SMALLEST, full_report
     from repro.bench.suite import BENCHMARK_NAMES
     from repro.robust.faults import fault_scope
-    from repro.robust.pool import RetryPolicy
 
     names = SMALLEST if args.quick else BENCHMARK_NAMES
     if args.resume and not args.checkpoint:
         _die("--resume needs --checkpoint FILE to resume from")
     plan = _fault_plan(args)
     options = RunOptions(
-        retry=RetryPolicy(
-            max_attempts=args.retries, unit_timeout=args.unit_timeout
-        ),
-        checkpoint_path=args.checkpoint,
+        max_attempts=args.retries,
+        unit_timeout=args.unit_timeout,
+        lease_path=args.checkpoint,
         resume=args.resume,
-        fault_plan=plan,
         certify=bool(args.certify_out),
-        scheduler=args.scheduler,
         group_size=max(0, args.group_size),
         heartbeat_interval=args.heartbeat_interval,
         lease_ttl=args.lease_ttl,
         clause_bus=not args.no_clause_bus,
     )
+    # The scheduler ships the plan to its workers inside ``options``; a
+    # serial run installs it around the whole evaluation instead.
+    if options.scheduled(args.jobs):
+        options = dataclasses.replace(options, fault_plan=plan)
+        plan = None
 
     config = TracerConfig(k=args.k, max_iterations=30)
 
     def run():
-        # With worker processes the plan ships inside ``options``; on
-        # the serial path it installs ambiently around the whole run.
-        with fault_scope(plan if args.jobs <= 1 else None):
+        with fault_scope(plan):
             return full_report(
                 names=names, k=args.k, jobs=args.jobs, options=options,
                 config=config,
@@ -1017,47 +1018,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluation.add_argument(
         "--retries", type=int, default=3, metavar="N",
-        help="attempts per work unit before it is recorded as failed "
-             "(crashed workers are respawned between attempts)",
+        help="attempts per task before its unit is recorded as failed "
+             "(a crashed worker's task is claimed again); applies to "
+             "scheduled runs (--jobs above 1, --checkpoint, --group-size "
+             "or --unit-timeout), a serial run makes one attempt",
     )
     evaluation.add_argument(
         "--unit-timeout", type=float, default=None, metavar="S",
-        help="wall-clock allowance per work-unit attempt under --jobs",
+        help="wall-clock allowance per task attempt: the worker still "
+             "holding the task after S seconds is killed and the task "
+             "retried (without --jobs, the run goes through the "
+             "scheduler on one worker)",
     )
     evaluation.add_argument(
         "--checkpoint", metavar="FILE",
-        help="append completed work units to a JSONL checkpoint",
+        help="keep the scheduler's lease log in FILE (clause bus in "
+             "FILE.bus); every completed query group is recorded there. "
+             "Without --resume, FILE is started afresh: what it held "
+             "is discarded",
     )
     evaluation.add_argument(
         "--resume", action="store_true",
-        help="load the --checkpoint file and run only unfinished units",
+        help="resume from the --checkpoint lease log: run only the "
+             "query groups it holds no completion for",
     )
     evaluation.add_argument(
         "--inject", action="append", default=[], metavar="SITE:ACTION[:K=V,..]",
         help="deterministic fault injection (repeatable; see docs/ROBUSTNESS.md)",
     )
     evaluation.add_argument(
-        "--scheduler", choices=("leases", "waves"), default="leases",
-        help="parallel scheduling model: lease-based work stealing "
-             "(default) or the lock-step wave pool",
-    )
-    evaluation.add_argument(
         "--group-size", type=int, default=0, metavar="N",
-        help="lease scheduler: split each unit's queries into groups of "
-             "at most N for sub-unit stealing/resume (0 = whole units)",
+        help="split each unit's queries into groups of at most N for "
+             "sub-unit stealing/resume (0 = whole units)",
     )
     evaluation.add_argument(
         "--heartbeat-interval", type=float, default=0.25, metavar="S",
-        help="lease scheduler: worker heartbeat period",
+        help="worker heartbeat period",
     )
     evaluation.add_argument(
         "--lease-ttl", type=float, default=5.0, metavar="S",
-        help="lease scheduler: a lease is stealable after its worker "
-             "has been silent this long",
+        help="a lease is stealable after its worker has been silent "
+             "this long",
     )
     evaluation.add_argument(
         "--no-clause-bus", action="store_true",
-        help="lease scheduler: disable cross-worker clause sharing",
+        help="disable cross-worker clause sharing",
     )
     evaluation.add_argument(
         "--certify-out", metavar="FILE",
@@ -1190,7 +1195,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--socket", metavar="PATH")
     top.add_argument(
         "--leases", metavar="FILE",
-        help="watch a lease log (checkpoint.leases) instead of a daemon",
+        help="watch a lease log (eval --checkpoint FILE) instead of a "
+             "daemon",
     )
     top.add_argument(
         "--lease-ttl", type=float, default=5.0, metavar="S",

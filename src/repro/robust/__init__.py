@@ -1,5 +1,5 @@
 """Fault-tolerant solver runtime: budgets, fault injection, graceful
-degradation, and a crash-surviving parallel harness.
+degradation, durable logs, and a crash-surviving parallel scheduler.
 
 The pieces (see ``docs/ROBUSTNESS.md`` for the full story):
 
@@ -9,10 +9,16 @@ The pieces (see ``docs/ROBUSTNESS.md`` for the full story):
   injection keyed on the observability span sites;
 * :mod:`repro.robust.degrade` — the beam-width degradation ladder the
   TRACER driver walks on formula explosions;
-* :mod:`repro.robust.pool` — a process pool with per-unit timeouts,
-  ``BrokenProcessPool`` recovery, and bounded retries;
-* :mod:`repro.robust.checkpoint` — JSONL checkpoints of completed
-  evaluation units behind ``repro eval --resume``;
+* :mod:`repro.robust.durablelog` — the crash discipline of every
+  append-only log below;
+* :mod:`repro.robust.leases` / :mod:`repro.robust.scheduler` — the
+  lease log and the work-stealing scheduler of ``repro eval --jobs``,
+  with per-task timeouts and bounded retries; the lease log is what
+  ``--checkpoint`` writes and ``--resume`` reads;
+* :mod:`repro.robust.clausebus` — CEGAR rounds shared between the
+  scheduler's workers;
+* :mod:`repro.robust.pool` — the serving daemon's supervised worker
+  process;
 * :mod:`repro.robust.journal` — the append-only CEGAR search journal
   behind ``--journal`` / ``--resume-journal``;
 * :mod:`repro.robust.certify` — verdict certificates and their

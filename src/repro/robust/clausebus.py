@@ -2,11 +2,11 @@
 
 The paper's group-solving insight — an unviability clause learned
 while refining one query prunes the search for its siblings — stops at
-a process boundary in the wave pool: worker A's clauses never reach
-worker B mid-run, and when A is SIGKILLed its partial search is
-forfeit.  The bus closes both gaps with one append-only JSONL file per
-evaluation (scoped per task by the program/unit digest in the scope
-string) carrying the *completed CEGAR rounds* of every worker::
+a process boundary: worker A's clauses never reach worker B mid-run,
+and when A is SIGKILLed its partial search is forfeit.  The bus closes
+both gaps with one append-only JSONL file per evaluation (scoped per
+task by the program/unit digest in the scope string) carrying the
+*completed CEGAR rounds* of every worker::
 
     {"type": "bus_header", "version": 1}
     {"type": "round", "scope": "bench:analysis:unit:group",

@@ -1,6 +1,6 @@
 """One durable, append-only JSONL log: the crash discipline shared by
-the eval checkpoint, the search journal, the knowledge store, the lease
-log and the clause bus.
+the search journal, the knowledge store, the lease log (which is also
+the eval checkpoint) and the clause bus.
 
 This module is the only code that opens one of those logs for append,
 takes the cross-process lock, applies the torn-tail rule, computes or
@@ -11,15 +11,16 @@ only its record schema, its in-memory index and its protocol.  The rule
 * **Records.**  A log holds one JSON object per newline-terminated
   line.  Its first record is its header, ``{"type": "<name>_header",
   "version": N, ...}``; a header of another version makes the log
-  unreadable.
+  unreadable, and a handle that opens a file whose first record is not
+  its header refuses it.
 * **Torn tail.**  Only the final line can be a crash artifact, meaning
   it has no newline or is not a JSON object.  Readers skip it, and the
   next append first cuts exactly those bytes.  A damaged line before it
   is corruption, and reading it raises.
 * **Checksums.**  A record that carries ``sha256`` must match
   :func:`record_checksum`.  A record without one, such as a legacy store
-  entry or any checkpoint or journal record, is accepted.  A *sealed*
-  log gives every record it writes, its header included, a ``sha256``.
+  entry or any journal record, is accepted.  A *sealed* log gives every
+  record it writes, its header included, a ``sha256``.
 * **Appends.**  Take ``flock`` on ``path + ".lock"``, cut the torn
   tail, write the record, ``fsync``.  Every append opens and closes its
   own file handle.
@@ -29,7 +30,9 @@ only its record schema, its in-memory index and its protocol.  The rule
   ``<name>.compact.write``, ``<name>.compact.rename`` and
   ``<name>.compact.done`` mark the three windows.
 * **Errors.**  Corruption of any kind raises :class:`LogCorruption`, a
-  ``ValueError``.
+  ``ValueError``.  So does a read or append through a handle that has
+  read further than the log now reaches: another handle emptied or
+  replaced the log under it.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ _BLANK = object()
 
 class LogCorruption(ValueError):
     """A log is damaged in a way a crash cannot explain: a damaged line
-    before the final one, a checksum mismatch, or a header of an
-    unsupported version."""
+    before the final one, a checksum mismatch, a header of an
+    unsupported version, or a log shorter than a handle has read."""
 
 
 def record_checksum(record: dict) -> str:
@@ -94,7 +97,9 @@ class DurableLog:
     :meth:`read` goes on from there, and an append that finds the file
     ending there moves it past the record it wrote.  An append that
     finds records this handle has not read leaves it, so the next read
-    still returns them.  Reads take no lock."""
+    still returns them.  A read or append that finds the file shorter
+    than ``offset`` raises :class:`LogCorruption`.  Reads take no
+    lock."""
 
     def __init__(
         self, path: str, name: str, version: int, sealed: bool = False
@@ -116,6 +121,7 @@ class DurableLog:
         :class:`LogCorruption`."""
         try:
             with open(self.path, "rb") as handle:
+                self._check_length(handle.seek(0, os.SEEK_END))
                 handle.seek(self.offset)
                 data = handle.read()
         except FileNotFoundError:
@@ -141,6 +147,14 @@ class DurableLog:
             position += len(line) + 1
         self.offset = position
         return records
+
+    def _check_length(self, end: int) -> None:
+        if end < self.offset:
+            raise LogCorruption(
+                f"{self.path}: the log ends at byte {end} but this handle "
+                f"has read to byte {self.offset} (another handle emptied "
+                "or replaced it)"
+            )
 
     def _check(self, record: dict, position: int) -> None:
         stored = record.get("sha256")
@@ -181,13 +195,21 @@ class DurableLog:
         """Under the lock: empty the log when ``fresh``, read it on
         from ``offset`` when ``read``, cut a torn tail, and write the
         header (carrying ``fields``) into an empty log.  Returns the
-        records read."""
+        records read.  A log read from its start whose first record is
+        not this log's header raises :class:`LogCorruption`: it is
+        another kind of file."""
         with self.lock():
             if fresh:
                 with open(self.path, "wb"):
                     pass
                 self.offset = 0
+            start = self.offset
             records = self.read() if read else []
+            if start == 0 and records and records[0].get("type") != self.kind:
+                raise LogCorruption(
+                    f"{self.path}: not a {self.name} log (its first record "
+                    f"is a {records[0].get('type')!r})"
+                )
             with open(self.path, "a+b") as handle:
                 empty = self._cut_torn_tail(handle) == 0
             if empty:
@@ -223,12 +245,12 @@ class DurableLog:
         end.  Reads back only to the final line's start, and never
         before ``offset``, which ends an intact line."""
         end = handle.seek(0, os.SEEK_END)
+        self._check_length(end)
         if end == self.offset:
             return end
-        floor = self.offset if self.offset < end else 0
         start, tail = end, b""
-        while start > floor:
-            step = max(floor, start - _TAIL_BLOCK)
+        while start > self.offset:
+            step = max(self.offset, start - _TAIL_BLOCK)
             handle.seek(step)
             tail = handle.read(start - step) + tail
             start = step

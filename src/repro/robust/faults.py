@@ -37,14 +37,14 @@ Actions:
     are simulated).
 
 ``kill``
-    ``SIGKILL`` the current process — only meaningful inside a pool
-    worker, where it surfaces as ``BrokenProcessPool`` in the parent.
+    ``SIGKILL`` the current process — only meaningful inside a worker
+    process, whose lease the scheduler's parent then releases.
 
 ``corrupt``
     Do not raise; instead :func:`inject` returns the string
     ``"corrupt"`` and the call site opts in to producing damaged output
-    (the bench worker truncates its unit records, which the checkpoint
-    loader and merge must survive).
+    (the bench worker truncates its unit records, which its integrity
+    check turns into a retried failure).
 
 Plans install ambiently (:class:`fault_scope`), mirroring
 :mod:`repro.robust.budget`; with no plan installed :func:`inject` is a
@@ -149,9 +149,8 @@ class FaultPlan:
     """An ordered rule set with per-process hit counters.
 
     Plans are immutable-by-convention and pickle *without* their
-    counters, so the plan a parent ships to pool workers starts
-    counting afresh in every process — which is what makes per-process
-    hit semantics well-defined under fan-out."""
+    counters, so a shipped plan starts counting afresh wherever it is
+    unpickled; the scheduler's workers also reset them per task."""
 
     def __init__(self, rules: Sequence[FaultRule] = (), seed: int = 0):
         self.rules: Tuple[FaultRule, ...] = tuple(rules)

@@ -19,6 +19,8 @@ is working on.  The log records the full lifecycle::
 
 Liveness is heartbeat-based: a claim is *live* while its worker's most
 recent heartbeat (or the claim itself) is younger than the lease TTL.
+Liveness is judged by worker *name*, so names must never repeat across
+runs that share a log (the scheduler makes them unique per run).
 A worker that is SIGKILLed or hangs simply stops heartbeating; once
 the TTL passes, a sibling's :meth:`LeaseLog.claim_next` reclaims the
 task with ``stolen_from`` naming the previous holder.  A worker whose
@@ -43,6 +45,10 @@ Attempt numbering is monotone across the log's whole life, but a
 timed out under yesterday's bug could never be retried by today's
 ``--resume``.
 
+Every ``complete`` record holds the task's whole result, so the lease
+log is also the evaluation's checkpoint: ``repro eval --checkpoint
+FILE`` keeps it at ``FILE``, and ``--resume`` reads it back.
+
 The lease log is a sealed durable log (:mod:`repro.robust.durablelog`;
 ``docs/ROBUSTNESS.md``, "Durable logs"): every record carries a
 ``sha256``, and because several *processes* append concurrently, each
@@ -52,10 +58,11 @@ operation reads what siblings appended and appends under the log's
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.robust.durablelog import DurableLog, audit, record_checksum
 from repro.robust.durablelog import LogCorruption as LeaseCorruption
@@ -78,8 +85,8 @@ __all__ = [
 LEASE_VERSION = 1
 
 #: ``(benchmark, analysis, unit index, group index)`` — the scheduler's
-#: unit of work.  Group index ``0`` with one group per unit degenerates
-#: to the checkpoint layer's whole-unit granularity.
+#: unit of work.  Group index ``0`` with one group per unit is a whole
+#: work unit.
 TaskKey = Tuple[str, str, int, int]
 
 
@@ -129,7 +136,7 @@ class LeaseLog:
     def __init__(self, path: str, worker: str, fresh: bool = False):
         self.path = path
         self.worker = worker
-        self._mutex = threading.Lock()
+        self._mutex = threading.RLock()
         self._log = _log(path)
         self._claims: Dict[TaskKey, dict] = {}
         self._attempts: Dict[TaskKey, int] = {}
@@ -384,6 +391,13 @@ class LeaseLog:
                 )
                 forgiven += 1
         return forgiven
+
+    @contextlib.contextmanager
+    def lock(self) -> Iterator[None]:
+        """Hold the log's flock: no other handle appends until it is
+        let go, while this thread's calls on this handle still work."""
+        with self._mutex, self._log.lock():
+            yield
 
     def holder(self, task: TaskKey, ttl: float, now: Optional[float] = None):
         """``(worker, attempt)`` of the live claim, or ``None``."""

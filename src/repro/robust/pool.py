@@ -1,200 +1,21 @@
-"""A process pool that survives its workers.
+"""The serving daemon's supervised worker process.
 
-``ProcessPoolExecutor.map`` dies with the first ``BrokenProcessPool``
-(one SIGKILLed/OOM-killed worker aborts the whole evaluation) and has
-no notion of per-unit timeouts or retries.  :func:`run_units` wraps it
-in *waves*:
-
-1. submit every pending unit to a fresh pool;
-2. wait for results, bounded by an optional timeout (scaled by queue
-   depth, since queued units cannot start before a slot frees up);
-3. a unit whose future raised is charged one failed attempt — a
-   ``BrokenProcessPool`` charges every unit that was still in flight,
-   since the parent cannot tell which one took the worker down;
-4. units still under ``max_attempts`` go into the next wave after an
-   exponential backoff; the pool is respawned (and any lingering
-   workers terminated) whenever it broke or timed out;
-5. units that exhaust their attempts become failed
-   :class:`UnitOutcome` values — the caller degrades, it never crashes.
-
-Work functions must be picklable module-level callables of signature
-``fn(item, attempt)``; the attempt index is what deterministic fault
-rules pin to (see :mod:`repro.robust.faults`).  Results arrive keyed
-by item index, so callers merge them in submission order regardless of
-completion order — determinism is preserved across crashes and
-retries.
-
-The executor itself is a module-level **shared pool**: the first wave
-spawns it and every later wave — and every later :func:`run_units`
-call in the process — reuses it, so worker startup is paid once per
-process instead of once per evaluation.  The pool is discarded and
-respawned only when it must be (a broken pool or a timed-out wave
-whose workers had to be killed), or when a wave needs more workers
-than the live pool has.  :func:`pool_stats` exposes the
-created/reused/respawned counters so benchmarks can report how often
-the pool survived; :func:`shutdown_shared_pool` tears it down (also
-registered via ``atexit``).
+:class:`SupervisedWorker` runs one child process that holds warm state
+across requests and serves them call/response over a pipe; a crash or
+timeout fails exactly the request in flight (:class:`WorkerCrash`,
+:class:`WorkerTimeout`) and the next call respawns the child after an
+exponential backoff.  A parallel evaluation's workers live in
+:mod:`repro.robust.scheduler` instead: they pull tasks off the lease
+log rather than being sent requests.
 """
 
 from __future__ import annotations
 
-import atexit
-import gc
-import math
 import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-__all__ = [
-    "RetryPolicy",
-    "SupervisedWorker",
-    "UnitOutcome",
-    "WorkerCrash",
-    "WorkerTimeout",
-    "pool_stats",
-    "run_units",
-    "shutdown_shared_pool",
-]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/timeout knobs of the resilient pool."""
-
-    max_attempts: int = 3
-    backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    #: Wall-clock allowance per unit *attempt*; a wave's allowance is
-    #: this scaled by its queue depth (``ceil(pending / workers)``).
-    unit_timeout: Optional[float] = None
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-
-    def backoff(self, retry_round: int) -> float:
-        return self.backoff_seconds * (self.backoff_factor ** retry_round)
-
-
-@dataclass
-class UnitOutcome:
-    """What became of one unit across all its attempts."""
-
-    index: int
-    result: Optional[object] = None
-    attempts: int = 0
-    error: Optional[str] = None
-    errors: List[str] = field(default_factory=list)
-
-    @property
-    def succeeded(self) -> bool:
-        return self.error is None
-
-    @property
-    def retried(self) -> bool:
-        return self.attempts > 1
-
-
-def _kill_lingering_workers(pool: ProcessPoolExecutor) -> None:
-    """Terminate worker processes that survived a cancel — the only
-    way to reclaim a worker stuck in a non-cooperative unit."""
-    processes = getattr(pool, "_processes", None)
-    if not processes:
-        return
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-
-
-# The process-wide shared pool.  ``_SHARED_WORKERS`` records its size so
-# acquisition can tell whether the live pool satisfies a wave's needs.
-_SHARED: Optional[ProcessPoolExecutor] = None
-_SHARED_WORKERS: int = 0
-_STATS: Dict[str, int] = {
-    "created": 0,
-    "reused": 0,
-    "respawned": 0,
-    "discarded": 0,
-}
-
-
-def pool_stats() -> Dict[str, int]:
-    """A snapshot of the shared-pool lifecycle counters.
-
-    ``created`` counts cold starts (no pool existed), ``reused`` waves
-    served by an already-live pool, ``respawned`` replacements of a
-    live pool (wrong size for the wave), and ``discarded`` teardowns
-    forced by broken pools or timed-out waves.
-    """
-    return dict(_STATS)
-
-
-def _discard_shared_pool(kill: bool = False) -> None:
-    global _SHARED, _SHARED_WORKERS
-    pool, _SHARED, _SHARED_WORKERS = _SHARED, None, 0
-    if pool is None:
-        return
-    if kill:
-        _STATS["discarded"] += 1
-        pool.shutdown(wait=False, cancel_futures=True)
-        _kill_lingering_workers(pool)
-    pool.shutdown(wait=True, cancel_futures=True)
-
-
-def shutdown_shared_pool() -> None:
-    """Tear down the shared pool (idempotent; also runs at exit)."""
-    _discard_shared_pool(kill=False)
-
-
-atexit.register(shutdown_shared_pool)
-
-
-def _worker_initializer() -> None:
-    """Runs once in every freshly spawned worker.
-
-    Workers are batch processors of short-lived units: refcounting
-    reclaims their (overwhelmingly acyclic) analysis garbage the
-    moment it drops, so the cycle collector mostly burns time walking
-    the large heap the worker inherited from the parent — and, on
-    fork platforms, every generation sweep dirties inherited
-    copy-on-write pages.  Cyclic garbage merely accrues until the pool
-    is respawned, which is bounded by one evaluation's working set.
-    """
-    gc.disable()
-
-
-def _acquire_pool(workers: int, max_workers: int) -> ProcessPoolExecutor:
-    """Return a pool with at least ``workers`` and at most
-    ``max_workers`` workers, reusing the shared one when it fits.
-
-    The upper bound matters: a caller that asked for ``max_workers=1``
-    (say, to bound memory) must not inherit a wider pool left over
-    from an earlier evaluation.
-    """
-    global _SHARED, _SHARED_WORKERS
-    if _SHARED is not None:
-        if workers <= _SHARED_WORKERS <= max_workers:
-            _STATS["reused"] += 1
-            return _SHARED
-        _discard_shared_pool(kill=False)
-        _STATS["respawned"] += 1
-    else:
-        _STATS["created"] += 1
-    # Move the parent's long-lived heap into the permanent generation
-    # before forking: neither parent nor child generation sweeps will
-    # rewrite those objects' GC headers, so the forked pages stay
-    # shared instead of being copied on the first collection.
-    gc.freeze()
-    _SHARED = ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_initializer
-    )
-    _SHARED_WORKERS = workers
-    return _SHARED
+__all__ = ["SupervisedWorker", "WorkerCrash", "WorkerTimeout"]
 
 
 class WorkerCrash(RuntimeError):
@@ -212,20 +33,18 @@ class WorkerTimeout(RuntimeError):
 class SupervisedWorker:
     """One supervised child process serving call/response over a pipe.
 
-    Unlike the wave pool above — built for batches of independent
-    units — this is the serving daemon's building block: a worker that
-    holds *warm state* (a resident :func:`process_session`) across
-    requests, where one crash must fail exactly one request.
-    ``ProcessPoolExecutor`` cannot do that: killing one of its workers
-    breaks the whole pool.  Here each crash or timeout tears down just
-    this worker; the next :meth:`call` respawns it after an exponential
-    backoff (so a crash-looping workload cannot spin the CPU on forks),
-    reported through ``on_respawn(reason, delay, consecutive_failures)``.
+    The serving daemon's building block: a worker that holds *warm
+    state* (a resident :func:`process_session`) across requests, where
+    one crash must fail exactly one request.  Each crash or timeout
+    tears down just this worker; the next :meth:`call` respawns it
+    after an exponential backoff (so a crash-looping workload cannot
+    spin the CPU on forks), reported through ``on_respawn(reason,
+    delay, consecutive_failures)``.
 
     ``target(conn, *args)`` runs in the child with its end of the pipe;
     it should loop ``recv`` → work → ``send`` and exit on ``None`` or
     EOF.  Fork start method: the child inherits the parent's prepared
-    state the same way the wave pool's workers do.
+    state, as the lease scheduler's workers do.
     """
 
     def __init__(
@@ -377,107 +196,3 @@ class SupervisedWorker:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-
-def run_units(
-    fn: Callable,
-    items: Sequence[object],
-    policy: RetryPolicy = RetryPolicy(),
-    max_workers: int = 2,
-    sleep: Callable[[float], None] = time.sleep,
-    monotonic: Callable[[], float] = time.monotonic,
-) -> List[UnitOutcome]:
-    """Run ``fn(item, attempt)`` for every item on a crash-surviving
-    pool; returns one :class:`UnitOutcome` per item, in item order."""
-    outcomes = [UnitOutcome(index=index) for index in range(len(items))]
-    pending: List[int] = list(range(len(items)))
-    retry_round = 0
-    while pending:
-        workers = max(1, min(max_workers, len(pending)))
-        wave_timeout = None
-        if policy.unit_timeout is not None:
-            wave_timeout = policy.unit_timeout * math.ceil(
-                len(pending) / workers
-            )
-        pool = _acquire_pool(workers, max_workers)
-        needs_kill = False
-        failed_this_wave: List[int] = []
-        try:
-            futures = {}
-            for index in pending:
-                outcomes[index].attempts += 1
-                try:
-                    future = pool.submit(
-                        fn, items[index], outcomes[index].attempts - 1
-                    )
-                except BrokenProcessPool:
-                    # A warm pool can break *while we are still
-                    # submitting* (a just-submitted unit killed its
-                    # worker before the loop finished); submit then
-                    # raises synchronously.  Charge the unit a crashed
-                    # attempt, same as if its future had failed.
-                    needs_kill = True
-                    outcomes[index].errors.append(
-                        f"worker crashed (attempt {outcomes[index].attempts})"
-                    )
-                    failed_this_wave.append(index)
-                    continue
-                futures[future] = index
-            deadline = None if wave_timeout is None else monotonic() + wave_timeout
-            not_done = set(futures)
-            while not_done:
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - monotonic())
-                done, not_done = wait(
-                    not_done, timeout=remaining, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # Wave deadline: everything still in flight is over
-                    # budget; the pool must be killed to reclaim workers.
-                    needs_kill = True
-                    for future in not_done:
-                        index = futures[future]
-                        message = (
-                            f"timeout after {policy.unit_timeout}s "
-                            f"(attempt {outcomes[index].attempts})"
-                        )
-                        outcomes[index].errors.append(message)
-                        failed_this_wave.append(index)
-                    not_done = set()
-                    break
-                for future in done:
-                    index = futures[future]
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        needs_kill = True
-                        outcomes[index].errors.append(
-                            f"worker crashed (attempt {outcomes[index].attempts})"
-                        )
-                        failed_this_wave.append(index)
-                    except Exception as exc:
-                        outcomes[index].errors.append(
-                            f"{type(exc).__name__}: {exc} "
-                            f"(attempt {outcomes[index].attempts})"
-                        )
-                        failed_this_wave.append(index)
-                    else:
-                        outcomes[index].result = result
-        finally:
-            # A healthy pool stays alive for the next wave (and the
-            # next run_units call); only broken/timed-out pools die.
-            if needs_kill:
-                _discard_shared_pool(kill=True)
-        next_pending: List[int] = []
-        for index in failed_this_wave:
-            outcome = outcomes[index]
-            if outcome.attempts >= policy.max_attempts:
-                outcome.error = outcome.errors[-1]
-            else:
-                next_pending.append(index)
-        pending = sorted(next_pending)
-        if pending:
-            sleep(policy.backoff(retry_round))
-            retry_round += 1
-    return outcomes

@@ -1,13 +1,12 @@
 """The lease-based work-stealing scheduler.
 
-:func:`run_leased` replaces the wave model of
-:func:`repro.robust.pool.run_units` for parallel evaluation: instead
-of the parent assigning fixed batches and waiting out each wave,
-every worker process loops over one shared durable
-:class:`~repro.robust.leases.LeaseLog`, claiming the first unowned
-task, heartbeating while it works, and durably completing — so the
-schedule emerges from the log, survives any worker's death, and a
-straggler's remaining tasks are picked up by whoever finishes first.
+:func:`run_leased` runs a parallel evaluation's tasks: instead of the
+parent assigning fixed batches, every worker process loops over one
+shared durable :class:`~repro.robust.leases.LeaseLog`, claiming the
+first unowned task, heartbeating while it works, and durably
+completing — so the schedule emerges from the log, survives any
+worker's death, and a straggler's remaining tasks are picked up by
+whoever finishes first.
 
 Failure handling, in order of preference:
 
@@ -19,9 +18,14 @@ Failure handling, in order of preference:
   out the TTL;
 * a worker that **hangs** (alive but silent) simply stops
   heartbeating; once ``lease_ttl`` passes, a sibling's ``claim_next``
-  steals the lease outright.
+  steals the lease outright;
+* a task that **outlives** ``unit_timeout`` (its worker heartbeats
+  from a separate thread, so only the claim's age shows it) gets its
+  worker killed by the parent, which then releases the lease as for a
+  dead worker, with a timeout error.
 
-All three paths converge on at-least-once execution with
+Every claim counts against ``max_attempts``, however it ended.  All
+four paths converge on at-least-once execution with
 first-durable-completion-wins dedup (see :mod:`repro.robust.leases`),
 so the caller's merge never sees a task twice and never sees two
 disagreeing results.
@@ -32,13 +36,21 @@ re-emit ``lease_claimed`` / ``lease_expired`` / ``lease_stolen``
 events into its own trace, force-releases dead workers' leases,
 respawns one *clean* worker (no fault plan — chaos plans are not
 reinstalled on respawn) if every worker has died or gone silent while
-work remains, and finally collects the winning payloads off the log.
+work remains, replaces each worker it kills over ``unit_timeout`` with
+one on the same plan, and finally collects the winning payloads off
+the log.  Each replacement follows a lost claim, so the spawns are
+bounded; once none is left and no worker runs, the remaining tasks are
+reported failed.
 
-Fault injection mirrors the wave pool's conventions: each worker
-installs its plan per task with ``attempt = claim.attempt - 1`` (the
-0-based unit-attempt number rules are written against) and resets hit
-counters per task, reproducing the per-process-per-task counting that
-pickling gave the wave pool.  Two scheduler-specific sites exist:
+Worker names carry a token unique to the run, so a resumed run never
+mistakes a dead run's claim for one of its own live ones: that claim
+expires after ``lease_ttl`` and is stolen.
+
+Fault injection: each worker installs its plan per task with
+``attempt = claim.attempt - 1`` (the 0-based unit-attempt number rules
+are written against) and resets hit counters per task, so a rule's
+``at``/``times`` count arrivals within one task.  Two
+scheduler-specific sites exist:
 ``"scheduler.task"`` fires on every claimed task, and a ``corrupt``
 match on ``"scheduler.hang"`` makes the worker stop heartbeating and
 sleep forever — the deterministic stand-in for a livelocked process
@@ -49,6 +61,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -84,7 +97,8 @@ class SchedulerResult:
 
     #: Winning payload per durably-completed task.
     payloads: Dict[TaskKey, dict]
-    #: Last recorded error per task that exhausted ``max_attempts``.
+    #: Last recorded error per task left without a durable completion
+    #: (it exhausted ``max_attempts``, or no worker was left to run it).
     failed: Dict[TaskKey, str]
     #: Claim count per task (1 = first try; >1 = retried or stolen).
     attempts: Dict[TaskKey, int] = field(default_factory=dict)
@@ -140,9 +154,8 @@ def _worker_main(
                 time.sleep(poll_interval)
                 continue
             if plan is not None:
-                # Fresh hit counters per task, reproducing the wave
-                # pool's per-process-per-task counting (it re-pickled
-                # the plan into every task).
+                # Fresh hit counters per task: a rule's ``at`` and
+                # ``times`` count arrivals within one task.
                 plan.reset()
             try:
                 with fault_scope(plan, attempt=claim.attempt - 1):
@@ -171,6 +184,7 @@ def run_leased(
     lease_ttl: float = 5.0,
     poll_interval: float = 0.05,
     max_attempts: int = 3,
+    unit_timeout: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
     worker_faults: Optional[Sequence[Optional[Sequence[str]]]] = None,
 ) -> SchedulerResult:
@@ -182,7 +196,8 @@ def run_leased(
     start method, so closures over parent state work, and state a
     closure keeps lives per worker across its tasks.  ``resume=True``
     keeps an existing lease log and skips its completed tasks;
-    otherwise the log is truncated fresh.
+    otherwise the log is truncated fresh.  ``unit_timeout`` bounds one
+    claim's wall-clock time (``None`` = unbounded).
 
     ``fault_plan`` ships to every worker; ``worker_faults`` adds
     per-worker rule specs by worker index (chaos tests use it to kill
@@ -191,14 +206,32 @@ def run_leased(
     if not tasks:
         return SchedulerResult(payloads={}, failed={}, stats={"workers": 0})
     monitor = LeaseLog(lease_path, worker="parent", fresh=not resume)
-    resumed = len(monitor.completed_payloads())
+    done = monitor.completed_payloads()
+    if all(task in done for task in tasks):
+        # A resumed log that already holds every completion.
+        return _collect(monitor, tasks, len(done), {"workers": 0})
     forgiven = monitor.forgive_failures(tasks) if resume else 0
-    watcher = LeaseWatcher(lease_path)
+    # A resumed run tails only what it appends itself: the dead run's
+    # claims are neither counted nor re-emitted.
+    watcher = LeaseWatcher(lease_path, start_at_end=resume)
     context = multiprocessing.get_context("fork")
     workers = max(1, workers)
+    stats = {
+        "workers": workers,
+        "spawned": 0,
+        "claims": 0,
+        "steals": 0,
+        "expiries": 0,
+        "respawns": 0,
+        "forgiven": forgiven,
+    }
+    # A run charges at most ``len(tasks) * max_attempts`` claims, and
+    # every spawn after the first ``workers`` replaces a worker lost
+    # with one, so this bounds the spawns.
+    spawn_cap = workers + len(tasks) * max_attempts
 
-    def plan_for(index: int, clean: bool = False) -> Optional[FaultPlan]:
-        if clean:
+    def plan_for(index: Optional[int]) -> Optional[FaultPlan]:
+        if index is None:
             return None
         rules = list(fault_plan.rules) if fault_plan is not None else []
         if worker_faults is not None and index < len(worker_faults):
@@ -208,11 +241,16 @@ def run_leased(
         return FaultPlan(rules) if rules else None
 
     processes: Dict[str, multiprocessing.Process] = {}
-    spawned = 0
+    #: The fault-plan index each worker was started with.
+    index_of: Dict[str, int] = {}
+    beats: Dict[str, float] = {}
+    run = os.urandom(4).hex()  # tells this run's workers from a dead run's
 
-    def spawn(index: int, clean: bool = False) -> None:
-        nonlocal spawned
-        name = f"worker-{index}" if not clean else f"respawn-{index}"
+    def spawn(index: Optional[int]) -> str:
+        """Start a worker with worker ``index``'s fault plan, or a
+        clean one for ``None``."""
+        role = "worker" if index is not None else "respawn"
+        name = f"{role}-{stats['spawned']}@{run}"
         process = context.Process(
             target=_worker_main,
             name=name,
@@ -221,7 +259,7 @@ def run_leased(
                 lease_path,
                 list(tasks),
                 execute,
-                plan_for(index, clean=clean),
+                plan_for(index),
                 heartbeat_interval,
                 lease_ttl,
                 poll_interval,
@@ -231,19 +269,21 @@ def run_leased(
         )
         process.start()
         processes[name] = process
-        spawned += 1
+        if index is not None:
+            index_of[name] = index
+        beats[name] = time.time()
+        stats["spawned"] += 1
+        return name
 
-    expiries = 0
-    steals = 0
-    claims = 0
-    respawns = 0
     released_leases: Dict[Tuple[TaskKey, int], str] = {}
-    beats: Dict[str, float] = {}
+    #: The claim each worker of this run is working on, and its time.
+    holding: Dict[str, Tuple[TaskKey, int, float]] = {}
+    #: The claim each worker killed over ``unit_timeout`` held.
+    overdue: Dict[str, Tuple[TaskKey, int]] = {}
     reaped: set = set()
     tracing = obs.active()
 
     def pump_events() -> None:
-        nonlocal claims, steals, expiries
         for record in watcher.poll():
             rtype = record.get("type")
             if rtype == "heartbeat":
@@ -256,17 +296,24 @@ def run_leased(
                     int(record.get("attempt", 0)),
                 )
                 released_leases[key] = record.get("by", "")
+                holding.pop(record.get("by", ""), None)
                 continue
             if rtype == "complete":
                 worker = record.get("worker", "")
                 beats[worker] = max(beats.get(worker, 0.0), time.time())
+                holding.pop(worker, None)
                 continue
             if rtype != "claim":
                 continue
             worker = record.get("worker", "")
             beats[worker] = max(beats.get(worker, 0.0), time.time())
-            claims += 1
+            stats["claims"] += 1
             task = tuple(record.get("task", ()))
+            holding[worker] = (
+                task,
+                int(record.get("attempt", 1)),
+                float(record.get("t", time.time())),
+            )
             label = _task_label(task)
             if tracing:
                 obs.event(
@@ -278,12 +325,12 @@ def run_leased(
             stolen_from = record.get("stolen_from")
             if not stolen_from:
                 continue
-            steals += 1
+            stats["steals"] += 1
             prior = (task, int(record.get("attempt", 1)) - 1)
             if released_leases.get(prior, None) is None:
                 # Nobody released the prior lease: the holder went
                 # silent and the TTL expired under it.
-                expiries += 1
+                stats["expiries"] += 1
                 if tracing:
                     obs.event(
                         "lease_expired",
@@ -300,8 +347,42 @@ def run_leased(
                     attempt=record.get("attempt"),
                 )
 
+    def kill_overdue() -> None:
+        """Kill every worker whose claim is older than ``unit_timeout``
+        and start one with the same fault plan in its place, so the run
+        keeps its width; :func:`release_dead_leases` then frees the
+        claim with a timeout error."""
+        now = time.time()
+        for name, (task, attempt, since) in list(holding.items()):
+            process = processes.get(name)
+            if (
+                process is None
+                or name in overdue
+                or now - since <= unit_timeout
+                or not process.is_alive()
+            ):
+                continue
+            # Under the flock the worker can neither complete this claim
+            # nor take another, so the kill lands on the claim checked.
+            with monitor.lock():
+                if monitor.holder(task, lease_ttl) != (name, attempt):
+                    # Completed, released or expired since the last
+                    # poll; a new claim shows up in the next one.
+                    del holding[name]
+                    continue
+                process.kill()
+            overdue[name] = (task, attempt)
+            if stats["spawned"] < spawn_cap:
+                replacement = spawn(index_of.get(name))
+                stats["respawns"] += 1
+                if tracing:
+                    obs.event(
+                        "worker_respawned",
+                        worker=replacement,
+                        reason="unit_timeout",
+                    )
+
     def release_dead_leases() -> None:
-        nonlocal expiries
         dead = [
             name
             for name, process in processes.items()
@@ -318,11 +399,17 @@ def run_leased(
             holder, attempt = held
             if holder not in dead:
                 continue
-            expiries += 1
+            stats["expiries"] += 1
+            timed_out = overdue.get(holder) == (task, attempt)
             monitor.release(
                 task,
                 attempt,
-                error=f"worker {holder!r} exited while holding the lease",
+                error=(
+                    f"timeout after {unit_timeout}s on task "
+                    f"{_task_label(task)} (attempt {attempt})"
+                    if timed_out
+                    else f"worker {holder!r} exited while holding the lease"
+                ),
                 by="parent",
             )
             if tracing:
@@ -330,20 +417,21 @@ def run_leased(
                     "lease_expired",
                     task=_task_label(task),
                     worker=holder,
-                    reason="worker_exit",
+                    reason="timeout" if timed_out else "worker_exit",
                 )
 
     # Move the parent's heap into the permanent generation before
-    # forking, as the wave pool does: no collection in a worker then
-    # rewrites the GC headers of inherited objects, so their pages stay
-    # shared instead of being copied.
+    # forking: no collection in a worker then rewrites the GC headers of
+    # inherited objects, so their pages stay shared instead of being
+    # copied.
     gc.freeze()
     try:
         for index in range(workers):
             spawn(index)
-        beats.update((name, time.time()) for name in processes)
         while True:
             pump_events()
+            if unit_timeout is not None:
+                kill_overdue()
             release_dead_leases()
             statuses = monitor.snapshot(tasks, lease_ttl, max_attempts)
             if all(
@@ -359,17 +447,20 @@ def run_leased(
                 and now - beats.get(name, 0.0)
                 < max(lease_ttl, 2 * heartbeat_interval)
             ]
-            if not effective and spawned < len(tasks) + workers + 8:
+            if not effective:
+                if stats["spawned"] >= spawn_cap:
+                    # Nothing left to run the remaining tasks: they
+                    # are reported failed rather than waited on.
+                    break
                 # Every worker is dead or silent with work remaining:
                 # bring up one clean replacement (no chaos plan — a
                 # respawned worker models operator recovery).
-                respawns += 1
-                spawn(respawns, clean=True)
-                beats[f"respawn-{respawns}"] = time.time()
+                stats["respawns"] += 1
+                name = spawn(None)
                 if tracing:
                     obs.event(
                         "worker_respawned",
-                        worker=f"respawn-{respawns}",
+                        worker=name,
                         reason="no_live_workers",
                     )
             time.sleep(poll_interval)
@@ -383,7 +474,16 @@ def run_leased(
                 process.kill()  # hung workers do not get a say
                 process.join(timeout=5.0)
         gc.unfreeze()
+    return _collect(monitor, tasks, len(done), stats)
 
+
+def _collect(
+    monitor: LeaseLog,
+    tasks: Sequence[TaskKey],
+    resumed: int,
+    stats: Dict[str, int],
+) -> SchedulerResult:
+    """The run's result as the lease log records it."""
     payloads = monitor.completed_payloads()
     failed: Dict[TaskKey, str] = {}
     attempts_of: Dict[TaskKey, int] = {}
@@ -393,21 +493,12 @@ def run_leased(
             continue
         error = monitor.last_error(task)
         failed[task] = error if error is not None else (
-            f"exhausted {attempts_of[task]} attempt(s) without a durable "
-            "completion"
+            f"no durable completion after {attempts_of[task]} attempt(s)"
         )
     return SchedulerResult(
         payloads=payloads,
         failed=failed,
         attempts=attempts_of,
         resumed=resumed,
-        stats={
-            "workers": workers,
-            "spawned": spawned,
-            "claims": claims,
-            "steals": steals,
-            "expiries": expiries,
-            "respawns": respawns,
-            "forgiven": forgiven,
-        },
+        stats=stats,
     )

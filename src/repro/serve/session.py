@@ -150,8 +150,7 @@ class AnalysisSession:
         self.store = store
         self._forward_cache_size = forward_cache_size
         self._forward_cache: Optional[ForwardRunCache] = None
-        #: Standard suite benchmarks by name (the prepare memo, and the
-        #: cross-token fallback the parallel executor relies on).
+        #: Standard suite benchmarks by name (the prepare memo).
         self._benches: Dict[str, object] = {}
         #: Seeded instances by (name, token) — custom programs too.
         self._instances: Dict[Tuple[str, int], object] = {}
@@ -208,8 +207,8 @@ class AnalysisSession:
 
     def seed(self, bench) -> int:
         """Register an already-prepared instance under a fresh token
-        (the parallel executor seeds the parent's instance before the
-        pool forks, so workers inherit it)."""
+        (the parallel executor seeds the parent's instance before its
+        workers fork, so they inherit it)."""
         token = next(self._seed_tokens)
         self._instances[(bench.name, token)] = bench
         if bench.standard:
@@ -218,16 +217,10 @@ class AnalysisSession:
 
     def instance(self, name: str, token: int, front=None):
         """The instance a work unit names: the seeded one when this
-        process inherited it, the standard memo as a cross-token
-        fallback (suite programs are deterministic functions of their
-        name), or a fresh preparation."""
+        process inherited it, or a fresh preparation."""
         from repro.bench.harness import prepare_uncached
 
         bench = self._instances.get((name, token))
-        if bench is None and front is None:
-            bench = self._benches.get(name)
-            if bench is not None:
-                self._instances[(name, token)] = bench
         if bench is None:
             bench = prepare_uncached(name, front)
             self._instances[(name, token)] = bench

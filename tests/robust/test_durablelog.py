@@ -1,7 +1,8 @@
-"""One crash matrix over the five durable logs: the eval checkpoint,
-the search journal, the knowledge store, the lease log and the clause
-bus all run the durable-log rule of :mod:`repro.robust.durablelog`, so
-each case here is checked through each log's own public API.
+"""One crash matrix over the four durable logs: the search journal, the
+knowledge store, the lease log (also the eval checkpoint) and the
+clause bus all run the durable-log rule of
+:mod:`repro.robust.durablelog`, so each case here is checked through
+each log's own public API.
 
 * a torn final line (no newline, or not a JSON object) is skipped by
   readers and cut, exactly, by the next append;
@@ -15,7 +16,6 @@ import json
 
 import pytest
 
-from repro.robust.checkpoint import CheckpointWriter, load_checkpoint
 from repro.robust.clausebus import ClauseBus, load_bus_records
 from repro.robust.durablelog import (
     DurableLog,
@@ -27,9 +27,6 @@ from repro.robust.journal import SearchJournal, load_journal
 from repro.robust.leases import LeaseLog, load_lease_records
 from repro.serve.store import KnowledgeStore
 
-UNIT = ([], {}, 1, [])
-
-
 def _entry(digest: str) -> dict:
     return dict(
         digest=digest, source=None, client_info={}, config=(),
@@ -39,21 +36,6 @@ def _entry(digest: str) -> dict:
 
 def _round(index: int) -> dict:
     return {"round": index, "queries": ["q"], "outcome": "ok"}
-
-
-class _Checkpoint:
-    sealed = False
-
-    def write(path):
-        with CheckpointWriter(path) as writer:
-            for index in (0, 1):
-                writer.write_unit(("tsp", "typestate", index), UNIT)
-
-    def load(path):
-        return len(load_checkpoint(path))
-
-    def append(path):
-        CheckpointWriter(path).write_unit(("tsp", "typestate", 2), UNIT)
 
 
 class _Journal:
@@ -124,7 +106,6 @@ class _Bus:
 
 
 LOGS = {
-    "checkpoint": _Checkpoint,
     "journal": _Journal,
     "store": _Store,
     "lease": _Leases,
@@ -250,6 +231,40 @@ class TestPrimitive:
         assert reader.read() == [{"n": 1}, {"n": 2}]
         writer.append({"n": 3})  # writer had not read n=2
         assert writer.read() == [{"n": 2}, {"n": 3}]
+
+    def test_a_handle_on_an_emptied_log_raises(self, tmp_path):
+        """Lease handle A heartbeats, then handle B empties the log and
+        claims task 0: A must not go on reading past the end and claim
+        task 0 again."""
+        path = str(tmp_path / "run.leases")
+        task = ("tsp", "typestate", 0, 0)
+        first = LeaseLog(path, worker="a")
+        for now in range(5):
+            first.heartbeat(now=float(now))
+        second = LeaseLog(path, worker="b", fresh=True)
+        assert second.claim_next([task], 5.0, 3).attempt == 1
+        with pytest.raises(LogCorruption, match="emptied or replaced"):
+            first.claim_next([task], 5.0, 3)
+
+    def test_reads_and_appends_past_the_end_raise(self, tmp_path):
+        path = str(tmp_path / "plain.jsonl")
+        stale, other = DurableLog(path, "p", 1), DurableLog(path, "p", 1)
+        stale.open()
+        stale.append({"n": 1})
+        other.open(fresh=True)
+        with pytest.raises(LogCorruption, match="emptied or replaced"):
+            stale.read()
+        with pytest.raises(LogCorruption, match="emptied or replaced"):
+            stale.append({"n": 2})
+        assert DurableLog(path, "p", 1).read() == [
+            {"type": "p_header", "version": 1}
+        ]
+
+    def test_a_file_of_another_kind_is_refused(self, tmp_path):
+        path = str(tmp_path / "plain.jsonl")
+        DurableLog(path, "checkpoint", 1).open()
+        with pytest.raises(LogCorruption, match="not a lease log"):
+            LeaseLog(path, worker="w")
 
     def test_the_lock_is_reentrant_within_a_handle(self, tmp_path):
         log = DurableLog(str(tmp_path / "plain.jsonl"), "p", 1)

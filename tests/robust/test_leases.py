@@ -189,6 +189,29 @@ class TestLeaseProtocol:
         assert statuses[TASKS[0]] == "failed"
         assert log.last_error(TASKS[0]) == "boom"
 
+    def test_lock_holds_siblings_off_but_not_its_own_calls(self, tmp_path):
+        """The parent checks a claim and kills its worker under
+        ``lock()``: no sibling may claim or complete in between, while
+        the holder's own queries still run."""
+        import threading
+
+        parent = _log(tmp_path, worker="parent")
+        worker = LeaseLog(parent.path, worker="w")
+        claims = []
+        with parent.lock():
+            sibling = threading.Thread(
+                target=lambda: claims.append(
+                    worker.claim_next(TASKS, TTL, max_attempts=3)
+                )
+            )
+            sibling.start()
+            sibling.join(timeout=0.3)
+            assert sibling.is_alive() and claims == []
+            assert parent.holder(TASKS[0], TTL) is None
+        sibling.join(timeout=10.0)
+        assert claims[0].task == TASKS[0]
+        assert parent.holder(TASKS[0], TTL) == ("w", 1)
+
     def test_watcher_polls_incrementally(self, tmp_path):
         log = _log(tmp_path)
         watcher = LeaseWatcher(log.path)

@@ -8,8 +8,11 @@ is the determinism half of the contract: group payloads completing in
 any order assemble into the same :class:`EvalResult` export.
 """
 
+import contextlib
 import json
 import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,23 @@ def _ok(task, attempt=1):
 
 def _lease_path(tmp_path):
     return str(tmp_path / "run.leases")
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise in the parent after ``seconds``; ``run_leased`` then kills
+    its workers on the way out (alarms do not survive a fork)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"run_leased did not finish in {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRunLeased:
@@ -123,6 +143,9 @@ class TestRunLeased:
         assert second.resumed == len(TASKS)
         assert second.payloads == first.payloads
         assert not marker.exists()
+        # Nothing left to run: no worker is forked, no claim counted.
+        assert second.stats.get("spawned", 0) == 0
+        assert second.stats.get("claims", 0) == 0
 
     def test_resume_runs_only_the_missing_tasks(self, tmp_path):
         lease_path = _lease_path(tmp_path)
@@ -160,6 +183,78 @@ class TestRunLeased:
             for line in executed.read_text().splitlines()
         ]
         assert reruns == [flaky]
+        # The first run's claims are not counted again.
+        assert second.stats["claims"] == 1
+
+    def test_resume_steals_a_dead_runs_claim(self, tmp_path):
+        """A crashed run's ``worker-0`` held task 0.  The resumed run's
+        workers are named apart from it, so the claim expires after the
+        TTL and is stolen, instead of staying live on the heartbeats of
+        a new worker that happens to share its name."""
+        from repro.robust.leases import LeaseLog
+
+        lease_path = _lease_path(tmp_path)
+        crashed = LeaseLog(lease_path, worker="worker-0")
+        assert crashed.claim_next(TASKS, 2.0, max_attempts=3).task == TASKS[0]
+        started = time.monotonic()
+        with _deadline(20):
+            result = run_leased(
+                TASKS, _ok, lease_path, workers=2, resume=True,
+                heartbeat_interval=0.05, lease_ttl=2.0,
+            )
+        assert time.monotonic() - started < 2.0 + 5.0
+        assert result.failed == {}
+        assert sorted(result.payloads) == sorted(TASKS)
+        assert result.stats["steals"] == 1
+        assert result.stats["expiries"] == 1
+
+    def test_tasks_over_the_timeout_on_every_attempt_fail(self, tmp_path):
+        """Every attempt of every task outlives ``unit_timeout``.  Each
+        killed worker is replaced on the same plan, so the run keeps
+        both workers to the end, and it ends with every task failed on
+        its timeout instead of waiting for a worker it can no longer
+        start."""
+
+        def stuck(task, attempt):
+            time.sleep(60.0)
+            return _ok(task)
+
+        tasks = [("bench", "typestate", 0, gi) for gi in range(6)]
+        with _deadline(40):
+            result = run_leased(
+                tasks, stuck, _lease_path(tmp_path), workers=2,
+                max_attempts=3, unit_timeout=0.2,
+                heartbeat_interval=0.05, lease_ttl=5.0, poll_interval=0.02,
+            )
+        assert result.payloads == {}
+        assert sorted(result.failed) == sorted(tasks)
+        for task in tasks:
+            assert result.attempts[task] == 3
+            assert result.failed[task].startswith("timeout after 0.2s")
+        # Two workers, then one replacement per killed claim.
+        assert result.stats["spawned"] == 2 + 3 * len(tasks)
+
+    def test_unit_timeout_replaces_the_killed_worker(self, tmp_path):
+        """Task 0's first attempt sleeps past the timeout.  Its worker
+        is replaced, the retry completes, and the other worker never
+        stopped."""
+
+        def slow_first(task, attempt):
+            if task == TASKS[0] and attempt == 1:
+                time.sleep(60.0)
+            return _ok(task)
+
+        with _deadline(30):
+            result = run_leased(
+                TASKS, slow_first, _lease_path(tmp_path), workers=2,
+                unit_timeout=0.5, heartbeat_interval=0.05, lease_ttl=5.0,
+                poll_interval=0.02,
+            )
+        assert result.failed == {}
+        assert sorted(result.payloads) == sorted(TASKS)
+        assert result.attempts[TASKS[0]] == 2
+        assert result.stats["spawned"] == 3
+        assert result.stats["respawns"] == 1
 
     def test_duplicate_completion_must_be_bit_identical(self, tmp_path):
         # The at-least-once safety net: if two attempts of one task

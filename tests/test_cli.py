@@ -451,17 +451,41 @@ class TestRobustFlags:
             )
 
     def test_eval_quick_with_checkpoint(self, tmp_path, capsys):
-        path = str(tmp_path / "ckpt.jsonl")
+        path = str(tmp_path / "run.leases")
         code = main(
             ["eval", "--quick", "--jobs", "2", "--checkpoint", path]
         )
         assert code == 0
-        from repro.robust.checkpoint import load_checkpoint
+        from repro.robust.leases import load_lease_records
 
-        assert load_checkpoint(path)
+        assert any(
+            record["type"] == "complete" for record in load_lease_records(path)
+        )
         capsys.readouterr()
         code = main(
             ["eval", "--quick", "--jobs", "2", "--checkpoint", path, "--resume"]
+        )
+        assert code == 0
+
+    def test_eval_checkpoint_without_jobs_is_resumable(self, tmp_path, capsys):
+        """One worker still keeps the lease log: a resume under a fault
+        plan that fails every executed unit then executes nothing."""
+        path = str(tmp_path / "run.leases")
+        assert main(["eval", "--quick", "--checkpoint", path]) == 0
+        from repro.robust.leases import load_lease_records
+
+        completed = [
+            record
+            for record in load_lease_records(path)
+            if record["type"] == "complete"
+        ]
+        assert len(completed) == 20  # every unit of the quick suite
+        capsys.readouterr()
+        code = main(
+            [
+                "eval", "--quick", "--checkpoint", path, "--resume",
+                "--retries", "1", "--inject", "unit:raise:times=none",
+            ]
         )
         assert code == 0
 
