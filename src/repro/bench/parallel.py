@@ -439,9 +439,11 @@ def _run_leased(
         cleanup = _tempfile.mkdtemp(prefix="repro-leases-")
         lease_path = _os.path.join(cleanup, "run.leases")
     bus_path = lease_path + ".bus"
-    if options.clause_bus and tasks:
-        # Parent creates (or truncates) the bus before any worker runs.
-        ClauseBus(bus_path, worker="parent", fresh=not options.resume)
+    if options.clause_bus and tasks and not options.resume:
+        # Parent truncates the bus before any worker runs.  A resume
+        # keeps it: each worker opens it on first use, so a lease log
+        # that refuses the resume leaves no bus behind.
+        ClauseBus(bus_path, worker="parent", fresh=True)
 
     use_bus = options.clause_bus
     # Worker state: each forked worker gets its own copy and keeps it

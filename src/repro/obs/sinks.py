@@ -2,10 +2,10 @@
 
 Four bundled sinks cover the intended deployment modes:
 
-* :class:`NullSink` — swallow everything.  Used to measure the cost of
-  *active* instrumentation alone (``bench_smoke`` records the delta);
-  note that the even cheaper default is *no* sink installed at all, in
-  which case the instrumentation points never construct records.
+* :class:`NullSink` — swallow everything: the cost of *active*
+  instrumentation alone, which is not measured yet.  The default is
+  *no* sink installed at all, in which case every instrumentation point
+  is one global read and never constructs a record.
 * :class:`MemorySink` — collect records in a list; the test sink, and
   the capture buffer behind post-hoc transcripts and parallel-worker
   trace collection.

@@ -3,8 +3,8 @@
 The instrumentation points in :mod:`repro.core.tracer` (and anywhere
 else) call :func:`span` and :func:`event` unconditionally; when no
 sink is installed both are near-free no-ops (one global read plus a
-singleton context manager), which is how the "no-op sink" overhead
-budget of ``bench_smoke`` is met.  Installing a sink via
+singleton context manager); what an installed sink costs is not
+measured yet.  Installing a sink via
 :func:`tracing` turns the same call sites into a structured event
 stream (see :mod:`repro.obs.events` for the schema):
 

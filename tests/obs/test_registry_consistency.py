@@ -1,11 +1,10 @@
 """Regression tests: every counter report derives from one registry.
 
-The pre-obs harness threaded `CacheCounters` copies by hand, which let
-`BENCH_smoke.json`'s hits/misses drift from the caches' own counters
-(the `ForwardRunCache.hit_rate` double-count).  Now `EvalResult`'s
-legacy fields are computed *from* the registry snapshot, so the JSON
-export, the tables, and the trace metric records cannot disagree with
-the registry — these tests pin that.
+`EvalResult`'s counter fields are computed *from* the registry
+snapshot, so the JSON export, the tables, and the trace metric records
+cannot disagree with the caches' own counters (a copy threaded by hand
+once double-counted `ForwardRunCache.hit_rate`) — these tests pin
+that.
 """
 
 import pytest
@@ -30,8 +29,8 @@ def tsp_result():
 
 class TestSingleSourceOfTruth:
     def test_legacy_fields_equal_registry_snapshot(self, tsp_result):
-        """The fields exported into BENCH_smoke.json / the JSON report
-        (forward_hits, forward_misses, wp_cache, dispatch_cache) must
+        """The fields exported into the JSON report (forward_hits,
+        forward_misses, wp_cache, dispatch_cache) must
         equal the totals of the run's registry snapshot."""
         result = tsp_result
         assert result.metrics, "evaluation must capture a registry snapshot"

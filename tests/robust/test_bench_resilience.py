@@ -304,7 +304,8 @@ class TestCheckpointResume:
     def test_resume_from_a_unit_checkpoint_raises(self, bench, tmp_path):
         """A checkpoint written before the lease log took its place is
         another kind of file: resuming from it must fail loudly, not
-        re-run everything and append lease records to it."""
+        re-run everything and append lease records to it, nor leave a
+        clause bus beside it."""
         path = tmp_path / "old.jsonl"
         with open(path, "w") as handle:
             for record in (
@@ -326,6 +327,11 @@ class TestCheckpointResume:
                 options=RunOptions(lease_path=str(path), resume=True),
             )
         assert path.read_bytes() == before
+        # Only the lock sidecar that opening any durable log takes.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "old.jsonl",
+            "old.jsonl.lock",
+        ]
 
 
 class TestEvaluateManyResilience:
